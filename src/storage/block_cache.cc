@@ -23,11 +23,15 @@ BlockCache::ChunkPtr BlockCache::Lookup(uint64_t table_id,
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    shard.misses.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  shard.hits.fetch_add(1, std::memory_order_relaxed);
+  // A hot chunk is usually already the most recent: skip the relink
+  // (and the neighbour-node writes it costs).
+  if (it->second != shard.lru.begin()) {
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  }
   return it->second->chunk;
 }
 
@@ -53,7 +57,7 @@ void BlockCache::Insert(uint64_t table_id, uint64_t chunk_index,
     shard.bytes -= victim.chunk->size();
     shard.map.erase(victim.key);
     shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    shard.evictions.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -71,6 +75,14 @@ void BlockCache::EraseTable(uint64_t table_id) {
       }
     }
   }
+}
+
+uint64_t BlockCache::Sum(std::atomic<uint64_t> Shard::*counter) const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += (shard.get()->*counter).load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 size_t BlockCache::size_bytes() const {

@@ -24,7 +24,10 @@ namespace deluge::storage {
 /// Thread-safety: fully thread-safe.  The key hash picks one of
 /// `num_shards` independent LRU shards, each with its own mutex, so
 /// concurrent `Get`s on different tables (or different regions of one
-/// table) do not serialize on a single cache lock.
+/// table) do not serialize on a single cache lock.  A hit writes only
+/// its shard's cache lines: the counters live in the shard, and a chunk
+/// already at the LRU front is not relinked.  (Readers of one hot chunk
+/// still share its shard's lock.)
 class BlockCache {
  public:
   using ChunkPtr = std::shared_ptr<const std::string>;
@@ -50,11 +53,10 @@ class BlockCache {
   /// the LRU until natural eviction).
   void EraseTable(uint64_t table_id);
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  /// Counter sums over the shards.
+  uint64_t hits() const { return Sum(&Shard::hits); }
+  uint64_t misses() const { return Sum(&Shard::misses); }
+  uint64_t evictions() const { return Sum(&Shard::evictions); }
   /// Current cached bytes (sums shard counters; approximate under
   /// concurrent churn).
   size_t size_bytes() const;
@@ -86,18 +88,20 @@ class BlockCache {
     std::list<Entry> lru;  // front = most recently used
     std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map;
     size_t bytes = 0;
+    // Written under `mu`; atomic only so the sums can read them unlocked.
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+    std::atomic<uint64_t> evictions{0};
   };
 
   Shard& ShardFor(const Key& key) {
     return *shards_[KeyHash()(key) % shards_.size()];
   }
+  uint64_t Sum(std::atomic<uint64_t> Shard::*counter) const;
 
   size_t capacity_bytes_;
   size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace deluge::storage

@@ -29,14 +29,31 @@ struct InternalEntry {
   }
 };
 
+/// A point-lookup target: the newest version of `user_key` visible at
+/// `seq`.  Orders against entries like an entry would, so lookups seek
+/// without copying the key into an `InternalEntry`.
+struct LookupKey {
+  std::string_view user_key;
+  SequenceNumber seq = 0;
+};
+
 /// Orders by (user_key ascending, seq descending): the newest version of a
 /// key is encountered first in scans — the LSM-invariant ordering.
 struct InternalEntryComparator {
   int operator()(const InternalEntry& a, const InternalEntry& b) const {
-    int c = a.user_key.compare(b.user_key);
+    return Compare(a, b.user_key, b.seq);
+  }
+  int operator()(const InternalEntry& a, const LookupKey& b) const {
+    return Compare(a, b.user_key, b.seq);
+  }
+
+ private:
+  static int Compare(const InternalEntry& a, std::string_view key,
+                     SequenceNumber seq) {
+    int c = std::string_view(a.user_key).compare(key);
     if (c != 0) return c;
-    if (a.seq > b.seq) return -1;  // newer first
-    if (a.seq < b.seq) return 1;
+    if (a.seq > seq) return -1;  // newer first
+    if (a.seq < seq) return 1;
     return 0;
   }
 };

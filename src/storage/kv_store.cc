@@ -88,7 +88,8 @@ constexpr char kManifestMagicV2[] = "DELUGEMANIFEST2";
 }  // namespace
 
 KVStore::KVStore(const KVStoreOptions& options)
-    : options_(options), mem_(std::make_unique<MemTable>()) {
+    : options_(options),
+      mem_(std::make_shared<MemTable>(options_.memtable_max_bytes)) {
   if (options_.block_cache_bytes > 0) {
     block_cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes);
   }
@@ -241,7 +242,7 @@ Status KVStore::Recover() {
   // it and finish the flush now, so acknowledged writes survive a crash
   // at any point of the flush pipeline.
   if (fs::exists(ImmWalPath())) {
-    MemTable imm;
+    MemTable imm(options_.memtable_max_bytes);
     auto replayed = WriteAheadLog::Replay(
         ImmWalPath(), [&imm, &max_seq](std::string_view rec) {
           SequenceNumber seq;
@@ -296,6 +297,8 @@ Status KVStore::Recover() {
     Status s = TruncateFile(WalPath(), valid_prefix);
     if (!s.ok()) return s;
   }
+  visible_seq_.store(next_seq_ - 1, std::memory_order_release);
+  PublishViewLocked();
   return wal_.Open(WalPath());
 }
 
@@ -421,6 +424,9 @@ Status KVStore::CommitWriter(Writer* w) {
           }
         }
       }
+      // Readers see the group only now, whole: until this store their
+      // snapshot hides the entries inserted above.
+      visible_seq_.store(seq - 1, std::memory_order_release);
     }
   }
 
@@ -481,8 +487,9 @@ Status KVStore::SealMemtableLocked() {
   if (ec) return Status::IOError("WAL rotation failed in " + options_.dir);
   Status s = wal_.Open(WalPath());
   if (!s.ok()) return s;
-  imm_ = std::shared_ptr<MemTable>(std::move(mem_));
-  mem_ = std::make_unique<MemTable>();
+  imm_ = std::move(mem_);
+  mem_ = std::make_shared<MemTable>(options_.memtable_max_bytes);
+  PublishViewLocked();
   flush_scheduled_ = true;
   ScheduleBackground(&KVStore::BackgroundFlushTask);
   return Status::OK();
@@ -559,6 +566,7 @@ Status KVStore::DoFlush() {
     return s;
   }
   imm_.reset();
+  PublishViewLocked();
   flush_scheduled_ = false;
   bg_error_ = Status::OK();
   flushes_->Add(1);
@@ -737,6 +745,7 @@ Status KVStore::DoCompaction() {
   new_l1.insert(new_l1.end(), l1_.begin() + std::ptrdiff_t(overlap_hi),
                 l1_.end());
   l1_ = std::move(new_l1);
+  PublishViewLocked();
   compactions_->Add(1);
   subcompactions_->Add(spans.size());
   bytes_compacted_->Add(out_bytes);
@@ -757,38 +766,60 @@ Status KVStore::DoCompaction() {
 
 // ------------------------------------------------------------ Read path
 
+std::shared_ptr<const KVStore::ReadView> KVStore::PinView(
+    SequenceNumber* snapshot) const {
+  PinSlot& slot = pins_[obs::ThisThreadStripe()];
+  std::shared_ptr<const ViewPin> pin;
+  {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    pin = slot.pin;
+  }
+  *snapshot = visible_seq_.load(std::memory_order_acquire);
+  // Aliasing: the caller holds the stripe's handle, not the view's own
+  // count.
+  const ReadView* view = pin->view.get();
+  return std::shared_ptr<const ReadView>(std::move(pin), view);
+}
+
+void KVStore::PublishViewLocked() {
+  auto view = std::make_shared<ReadView>();
+  view->mem = mem_;
+  view->imm = imm_;
+  view->l0.assign(l0_.begin(), l0_.end());
+  view->l1 = l1_;
+  // Stripes switch one by one, all under mu_: a reader still pinning the
+  // old view reads a prefix no newer commit can extend (commits need mu_
+  // too), the same as a reader that pinned just before the publish.
+  for (PinSlot& slot : pins_) {
+    auto pin = std::make_shared<const ViewPin>(ViewPin{view});
+    std::lock_guard<std::mutex> lock(slot.mu);
+    slot.pin.swap(pin);  // the old handle drops after the unlock
+  }
+}
+
 Status KVStore::Get(std::string_view key, std::string* value) {
   obs::Span span("storage.get");
   gets_->Add(1);
-  std::deque<std::shared_ptr<SSTable>> l0;
-  std::vector<std::shared_ptr<SSTable>> l1;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    bool tombstone = false;
-    if (mem_->Get(key, kMaxSequence, value, &tombstone)) {
-      return tombstone ? Status::NotFound() : Status::OK();
-    }
-    if (imm_ != nullptr &&
-        imm_->Get(key, kMaxSequence, value, &tombstone)) {
-      return tombstone ? Status::NotFound() : Status::OK();
-    }
-    l0 = l0_;
-    l1 = l1_;
+  SequenceNumber snapshot = 0;
+  const std::shared_ptr<const ReadView> view = PinView(&snapshot);
+  return view->Get(key, snapshot, value);
+}
+
+Status KVStore::ReadView::Get(std::string_view key, SequenceNumber snapshot,
+                              std::string* value) const {
+  bool tombstone = false;
+  if (mem->Get(key, snapshot, value, &tombstone) ||
+      (imm != nullptr && imm->Get(key, snapshot, value, &tombstone))) {
+    return tombstone ? Status::NotFound() : Status::OK();
   }
-  // Table probes run without the lock: positional reads + block cache;
-  // the shared_ptr snapshots keep tables alive past concurrent
-  // compactions.
-  InternalEntry e;
+  // Table probes: positional reads through the block cache; the view's
+  // references keep every table open past a concurrent compaction.
   for (const auto& table : l0) {  // newest first
     // Cheap range gate before the bloom: L0 tables may overlap, but a
     // key outside a table's span cannot be in it.
     if (key < table->min_key() || key > table->max_key()) continue;
-    Status s = table->Get(key, kMaxSequence, &e);
-    if (s.ok()) {
-      if (e.type == ValueType::kTombstone) return Status::NotFound();
-      *value = std::move(e.value);
-      return Status::OK();
-    }
+    Status s = table->Get(key, snapshot, value, &tombstone);
+    if (s.ok()) return tombstone ? Status::NotFound() : Status::OK();
     if (!s.IsNotFound()) return s;
   }
   // L1 ranges are sorted and disjoint: binary search finds the single
@@ -799,17 +830,10 @@ Status KVStore::Get(std::string_view key, std::string* value) {
       [](std::string_view k, const std::shared_ptr<SSTable>& t) {
         return k < t->min_key();
       });
-  if (it != l1.begin()) {
-    const auto& table = *(it - 1);
-    if (key <= table->max_key()) {
-      Status s = table->Get(key, kMaxSequence, &e);
-      if (s.ok()) {
-        if (e.type == ValueType::kTombstone) return Status::NotFound();
-        *value = std::move(e.value);
-        return Status::OK();
-      }
-      if (!s.IsNotFound()) return s;
-    }
+  if (it != l1.begin() && key <= (*(it - 1))->max_key()) {
+    Status s = (*(it - 1))->Get(key, snapshot, value, &tombstone);
+    if (s.ok()) return tombstone ? Status::NotFound() : Status::OK();
+    if (!s.IsNotFound()) return s;
   }
   return Status::NotFound();
 }
@@ -873,18 +897,20 @@ std::vector<InternalEntry> KVStore::MergeEntries(
   return out;
 }
 
-std::vector<InternalEntry> KVStore::GatherAllLocked() const {
+std::vector<InternalEntry> KVStore::GatherAll(const ReadView& view,
+                                              SequenceNumber snapshot) {
   std::vector<InternalEntry> all;
-  MemTable::Iterator mit(mem_.get());
-  for (mit.SeekToFirst(); mit.Valid(); mit.Next()) {
-    all.push_back(mit.entry());
-  }
-  if (imm_ != nullptr) {
-    MemTable::Iterator iit(imm_.get());
-    for (iit.SeekToFirst(); iit.Valid(); iit.Next()) {
-      all.push_back(iit.entry());
+  // The mutable memtable may hold a group whose commit is still being
+  // inserted; the snapshot drops it.  Tables hold only entries published
+  // before the view was, so they need no filter.
+  auto drain_mem = [&all, snapshot](const MemTable* m) {
+    MemTable::Iterator it(m);
+    for (it.SeekToFirst(); it.Valid(); it.Next()) {
+      if (it.entry().seq <= snapshot) all.push_back(it.entry());
     }
-  }
+  };
+  drain_mem(view.mem.get());
+  if (view.imm != nullptr) drain_mem(view.imm.get());
   auto drain = [&all](const std::shared_ptr<SSTable>& t) {
     SSTable::Iterator it(t.get());
     for (it.SeekToFirst(); it.Valid(); it.Next()) {
@@ -895,15 +921,17 @@ std::vector<InternalEntry> KVStore::GatherAllLocked() const {
                       t->path().c_str(), it.status().ToString().c_str());
     }
   };
-  for (const auto& t : l0_) drain(t);
-  for (const auto& t : l1_) drain(t);
+  for (const auto& t : view.l0) drain(t);
+  for (const auto& t : view.l1) drain(t);
   return all;
 }
 
 KVStore::Iterator KVStore::NewIterator() {
-  std::lock_guard<std::mutex> lock(mu_);
+  SequenceNumber snapshot = 0;
+  const std::shared_ptr<const ReadView> view = PinView(&snapshot);
   Iterator it;
-  it.entries_ = MergeEntries(GatherAllLocked(), /*drop_tombstones=*/true);
+  it.entries_ =
+      MergeEntries(GatherAll(*view, snapshot), /*drop_tombstones=*/true);
   return it;
 }
 
@@ -997,13 +1025,6 @@ KVStoreStats KVStore::stats() const {
     s.cache_hits = block_cache_->hits();
     s.cache_misses = block_cache_->misses();
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto add_probes = [&s](const std::shared_ptr<SSTable>& t) {
-    s.bloom_negatives += t->bloom_negative_count.load(std::memory_order_relaxed);
-    s.disk_probes += t->disk_probe_count.load(std::memory_order_relaxed);
-  };
-  for (const auto& t : l0_) add_probes(t);
-  for (const auto& t : l1_) add_probes(t);
   return s;
 }
 

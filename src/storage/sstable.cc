@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 
@@ -214,141 +215,158 @@ BlockCache::ChunkPtr SSTable::ReadChunk(uint64_t chunk_index,
   return chunk;
 }
 
+uint64_t SSTable::ScanStart(std::string_view key) const {
+  // Strict: an index point whose key EQUALS the target may be preceded by
+  // newer versions of the same user key at the tail of the previous
+  // block (entries sort by (key asc, seq desc)), so the scan must start
+  // one block earlier.
+  auto it = std::lower_bound(
+      index_.begin(), index_.end(), key,
+      [](const IndexEntry& e, std::string_view k) { return e.key < k; });
+  if (it != index_.begin()) --it;
+  return it->offset;
+}
+
 Status SSTable::Get(std::string_view key, SequenceNumber snapshot,
-                    InternalEntry* entry) const {
+                    std::string* value, bool* is_tombstone) const {
   if (index_.empty()) return Status::NotFound();
   if (bloom_checks_ != nullptr) bloom_checks_->Increment();
   if (!bloom_.MayContain(key)) {
-    bloom_negative_count.fetch_add(1, std::memory_order_relaxed);
     if (bloom_useful_ != nullptr) bloom_useful_->Increment();
     return Status::NotFound();
   }
-  disk_probe_count.fetch_add(1, std::memory_order_relaxed);
-  Iterator it(this);
-  it.Seek(key);
-  while (it.Valid() && it.entry().user_key == key) {
-    if (it.entry().seq <= snapshot) {
-      *entry = it.entry();
+  RecordCursor cursor(this);
+  RecordView rec;
+  Status status;
+  for (uint64_t offset = ScanStart(key); offset < data_end_;) {
+    const size_t n = cursor.Read(offset, &rec, &status);
+    // An I/O error mid-probe must not masquerade as NotFound: the key
+    // may well be in the unreadable region.
+    if (n == 0) return status;
+    const int c = rec.key.compare(key);
+    if (c > 0) break;
+    if (c == 0 && rec.seq <= snapshot) {
+      *is_tombstone = rec.type == ValueType::kTombstone;
+      if (!*is_tombstone) value->assign(rec.value);
       return Status::OK();
     }
-    it.Next();
+    offset += n;
   }
-  // An I/O error mid-probe must not masquerade as NotFound: the key may
-  // well be in the unreadable region.
-  if (!it.status().ok()) return it.status();
   return Status::NotFound();
 }
 
-// ------------------------------------------------------------- Iterator
+// --------------------------------------------------------- Record cursor
 
-SSTable::Iterator::Iterator(const SSTable* table) : table_(table) {}
+namespace {
 
-void SSTable::Iterator::SeekToFirst() {
-  next_offset_ = 0;
-  valid_ = false;
-  status_ = Status::OK();
-  Next();
-}
-
-void SSTable::Iterator::Seek(std::string_view key) {
-  // Binary search for the last index point with key strictly < target,
-  // then scan forward.  Strict: an index point whose key EQUALS the
-  // target may be preceded by newer versions of the same user key at the
-  // tail of the previous block (entries sort by (key asc, seq desc)), so
-  // the scan must start one block earlier.
-  const auto& idx = table_->index_;
-  status_ = Status::OK();
-  if (idx.empty()) {
-    valid_ = false;
-    return;
-  }
-  size_t lo = 0, hi = idx.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (idx[mid].key < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  size_t start = lo > 0 ? lo - 1 : 0;
-  next_offset_ = idx[start].offset;
-  valid_ = false;
-  Next();
-  while (valid_ && current_.user_key < key) Next();
-}
-
-void SSTable::Iterator::Next() {
-  if (next_offset_ >= table_->data_end_) {
-    valid_ = false;
-    return;
-  }
-  valid_ = ReadEntryAt(next_offset_);
-}
-
-size_t SSTable::Iterator::TryDecode(std::string_view data) {
+// Decodes the record at the front of `data` into views; returns the bytes
+// it occupies, or 0 when `data` ends inside it.
+size_t DecodeRecord(std::string_view data, std::string_view* key,
+                    SequenceNumber* seq, ValueType* type,
+                    std::string_view* value) {
   std::string_view rest = data;
   uint32_t klen = 0;
   if (!GetVarint32(&rest, &klen) || rest.size() < uint64_t(klen) + 9) {
     return 0;
   }
-  std::string_view key = rest.substr(0, klen);
+  *key = rest.substr(0, klen);
   rest.remove_prefix(klen);
-  uint64_t seq = 0;
-  GetFixed64(&rest, &seq);
-  uint8_t type = static_cast<uint8_t>(rest.front());
+  GetFixed64(&rest, seq);
+  *type = static_cast<ValueType>(static_cast<uint8_t>(rest.front()));
   rest.remove_prefix(1);
   uint32_t vlen = 0;
   if (!GetVarint32(&rest, &vlen) || rest.size() < vlen) return 0;
-  current_.user_key.assign(key);
-  current_.seq = seq;
-  current_.type = static_cast<ValueType>(type);
-  current_.value.assign(rest.substr(0, vlen));
+  *value = rest.substr(0, vlen);
   rest.remove_prefix(vlen);
   return data.size() - rest.size();
 }
 
-bool SSTable::Iterator::ReadEntryAt(uint64_t offset) {
-  // Fast path: the record decodes entirely from the buffered chunk —
-  // consecutive entries in a scan reuse one chunk read (and one cache
-  // entry) instead of issuing fresh I/O per entry.
+}  // namespace
+
+size_t SSTable::RecordCursor::Read(uint64_t offset, RecordView* rec,
+                                   Status* status) {
+  auto decode = [rec](std::string_view data) {
+    return DecodeRecord(data, &rec->key, &rec->seq, &rec->type, &rec->value);
+  };
+  // Fast path: the record decodes entirely from the held chunk —
+  // consecutive records reuse one chunk read (and one cache lookup)
+  // instead of issuing fresh I/O per record.
   if (chunk_ == nullptr || offset < chunk_off_ ||
       offset >= chunk_off_ + chunk_->size()) {
-    chunk_ = table_->ReadChunk(offset / kReadChunkSize, &status_);
-    if (chunk_ == nullptr) return false;  // status_ carries the I/O error
+    chunk_ = table_->ReadChunk(offset / kReadChunkSize, status);
+    if (chunk_ == nullptr) return 0;  // *status carries the I/O error
     chunk_off_ = (offset / kReadChunkSize) * kReadChunkSize;
   }
-  size_t in_chunk = size_t(offset - chunk_off_);
+  const size_t in_chunk = size_t(offset - chunk_off_);
   size_t consumed =
-      TryDecode({chunk_->data() + in_chunk, chunk_->size() - in_chunk});
-  if (consumed > 0) {
-    next_offset_ = offset + consumed;
-    return true;
-  }
+      decode({chunk_->data() + in_chunk, chunk_->size() - in_chunk});
+  if (consumed > 0) return consumed;
 
   // The record crosses the chunk boundary: assemble it from consecutive
   // aligned chunks (each individually cacheable) until it decodes or the
-  // data region is exhausted (truncated record => invalid).
+  // data region is exhausted (truncated record => corruption).
   spill_.assign(chunk_->data() + in_chunk, chunk_->size() - in_chunk);
   uint64_t next_chunk = chunk_off_ / kReadChunkSize + 1;
   while (next_chunk * kReadChunkSize < table_->data_end_) {
-    BlockCache::ChunkPtr more = table_->ReadChunk(next_chunk, &status_);
-    if (more == nullptr) return false;
+    BlockCache::ChunkPtr more = table_->ReadChunk(next_chunk, status);
+    if (more == nullptr) return 0;
     spill_.append(*more);
     ++next_chunk;
-    consumed = TryDecode(spill_);
+    consumed = decode(spill_);
     if (consumed > 0) {
-      next_offset_ = offset + consumed;
-      // Keep the last chunk buffered: the next record starts inside it.
+      // Keep the last chunk: the next record starts inside it.
       chunk_ = std::move(more);
       chunk_off_ = (next_chunk - 1) * kReadChunkSize;
-      return true;
+      return consumed;
     }
   }
-  // The data region ended mid-record: damage, not a clean EOF (Next()
-  // catches the clean case before ever calling here).
-  status_ = Status::Corruption("truncated record in " + table_->path_);
-  return false;
+  // The data region ended mid-record: damage, not a clean EOF (callers
+  // stop at the data-region end before ever reading there).
+  *status = Status::Corruption("truncated record in " + table_->path_);
+  return 0;
+}
+
+// ------------------------------------------------------------- Iterator
+
+SSTable::Iterator::Iterator(const SSTable* table)
+    : table_(table), cursor_(table) {}
+
+void SSTable::Iterator::SeekToFirst() {
+  next_offset_ = 0;
+  status_ = Status::OK();
+  Next();
+}
+
+void SSTable::Iterator::Seek(std::string_view key) {
+  status_ = Status::OK();
+  valid_ = false;
+  if (table_->index_.empty()) return;
+  next_offset_ = table_->ScanStart(key);
+  RecordView rec;
+  while (ReadNext(&rec)) {
+    if (rec.key >= key) return Load(rec);
+  }
+}
+
+void SSTable::Iterator::Next() {
+  RecordView rec;
+  valid_ = false;
+  if (ReadNext(&rec)) Load(rec);
+}
+
+void SSTable::Iterator::Load(const RecordView& rec) {
+  current_.user_key.assign(rec.key);
+  current_.seq = rec.seq;
+  current_.type = rec.type;
+  current_.value.assign(rec.value);
+  valid_ = true;
+}
+
+bool SSTable::Iterator::ReadNext(RecordView* rec) {
+  if (next_offset_ >= table_->data_end_) return false;
+  const size_t n = cursor_.Read(next_offset_, rec, &status_);
+  next_offset_ += n;
+  return n > 0;
 }
 
 // ------------------------------------------------------------- Builder

@@ -1,7 +1,6 @@
 #ifndef DELUGE_STORAGE_SSTABLE_H_
 #define DELUGE_STORAGE_SSTABLE_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,7 +33,8 @@ namespace deluge::storage {
 /// byte-identical across versions.
 ///
 /// Readers keep the sparse index and bloom filter in memory; point lookups
-/// do one bounded forward scan from the preceding index point.
+/// do one bounded forward scan from the preceding index point, decoding
+/// records in place in the cached chunk — only the value found is copied.
 ///
 /// Thread-safety: fully thread-safe after Open.  All file reads are
 /// positional (`pread` on a shared fd), so concurrent `Get`s and
@@ -73,12 +73,44 @@ class SSTable {
   static Result<std::shared_ptr<SSTable>> Open(const std::string& path,
                                                BlockCache* cache = nullptr);
 
-  /// Finds the newest version of `key` with seq <= snapshot.
-  /// Returns NotFound if the key is absent from this table.  On success
-  /// `*entry` holds the version found (possibly a tombstone).
+  /// Finds the newest version of `key` with seq <= snapshot.  Returns
+  /// NotFound if the key is absent from this table.  On success
+  /// `*is_tombstone` tells a delete from a put, and a put's value is
+  /// copied into `*value` — the only copy the probe makes: the scan from
+  /// the index point compares keys in place in the cached chunk.
   Status Get(std::string_view key, SequenceNumber snapshot,
-             InternalEntry* entry) const;
+             std::string* value, bool* is_tombstone) const;
 
+ private:
+  /// One data-region record decoded in place: views into the chunk (or
+  /// spill buffer) it was read from.
+  struct RecordView {
+    std::string_view key;
+    SequenceNumber seq = 0;
+    ValueType type = ValueType::kValue;
+    std::string_view value;
+  };
+
+  /// Decodes records in place from aligned chunks.  Holds the chunk under
+  /// the last record (which keeps it alive past a cache eviction) and a
+  /// spill buffer for a record that straddles a chunk boundary; the views
+  /// `Read` returns stay valid until its next call.
+  class RecordCursor {
+   public:
+    explicit RecordCursor(const SSTable* table) : table_(table) {}
+    /// Decodes the record at `offset` (< the data-region end) into
+    /// `*rec`; returns the bytes it occupies, or 0 on an I/O error or a
+    /// record cut off by the end of the data region (cause in `*status`).
+    size_t Read(uint64_t offset, RecordView* rec, Status* status);
+
+   private:
+    const SSTable* table_;
+    BlockCache::ChunkPtr chunk_;  // chunk holding the last record read
+    uint64_t chunk_off_ = 0;      // file offset of chunk_'s first byte
+    std::string spill_;           // assembly buffer for boundary records
+  };
+
+ public:
   /// Streaming iterator over all entries in internal order.
   ///
   /// Buffers one read chunk and decodes consecutive entries from it
@@ -90,7 +122,8 @@ class SSTable {
     explicit Iterator(const SSTable* table);
     bool Valid() const { return valid_; }
     void SeekToFirst();
-    /// Positions at the first entry >= (key, seq = max).
+    /// Positions at the first entry >= (key, seq = max).  Entries before
+    /// it are skipped in place, without being copied out.
     void Seek(std::string_view key);
     void Next();
     const InternalEntry& entry() const { return current_; }
@@ -102,19 +135,18 @@ class SSTable {
     const Status& status() const { return status_; }
 
    private:
-    bool ReadEntryAt(uint64_t offset);
-    /// Decodes one record from `data` (record starts at data[0]) into
-    /// current_; returns bytes consumed, or 0 when `data` is too short.
-    size_t TryDecode(std::string_view data);
+    /// Reads the record at next_offset_ into `*rec` and advances past
+    /// it; false at the end of the data region or on an error.
+    bool ReadNext(RecordView* rec);
+    /// Copies `rec` into current_ and marks the iterator valid.
+    void Load(const RecordView& rec);
 
     const SSTable* table_;
     uint64_t next_offset_ = 0;
-    BlockCache::ChunkPtr chunk_;  // buffered chunk backing fast decodes
-    uint64_t chunk_off_ = 0;      // file offset of chunk_'s first byte
-    std::string spill_;           // assembly buffer for boundary records
+    RecordCursor cursor_;
     InternalEntry current_;
     bool valid_ = false;
-    Status status_;               // first scan error; OK on clean EOF
+    Status status_;  // first scan error; OK on clean EOF
   };
 
   const std::string& path() const { return path_; }
@@ -130,17 +162,15 @@ class SSTable {
   std::vector<std::string> IndexSampleKeys(size_t max_samples) const;
 
   /// Hooks this table's bloom-probe outcomes into registry counters
-  /// (storage.bloom_checks / storage.bloom_useful).  Called by the
-  /// owning store before the table is published to readers; the
-  /// counters must outlive every probe (the store's StatsScope does).
+  /// (storage.bloom_checks / storage.bloom_useful — the only probe
+  /// counters: striped, so concurrent readers of one hot table do not
+  /// bounce a shared counter line).  Called by the owning store before
+  /// the table is published to readers; the counters must outlive every
+  /// probe (the store's StatsScope does).
   void set_probe_counters(obs::Counter* checks, obs::Counter* useful) {
     bloom_checks_ = checks;
     bloom_useful_ = useful;
   }
-
-  /// Cumulative probe counters (for experiments on bloom effectiveness).
-  mutable std::atomic<uint64_t> bloom_negative_count{0};
-  mutable std::atomic<uint64_t> disk_probe_count{0};
 
  private:
   friend class SSTableBuilder;
@@ -152,6 +182,9 @@ class SSTable {
   };
 
   Status LoadFooterAndIndex();
+  /// Data offset of the last index point whose key is strictly below
+  /// `key` (or of the first record): where a scan for `key` starts.
+  uint64_t ScanStart(std::string_view key) const;
   /// Reads exactly [offset, offset+n) from the file (positional; no
   /// shared seek state).
   Status ReadAt(uint64_t offset, size_t n, char* dst) const;

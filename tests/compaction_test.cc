@@ -243,7 +243,9 @@ TEST(SubcompactionTest, RollsOutputsAtSizeThreshold) {
     if (i + 1 < result.outputs.size()) {
       EXPECT_GE(t->file_size(), target);  // only the tail may be short
     }
-    if (i > 0) EXPECT_LT(prev_max, t->min_key());
+    if (i > 0) {
+      EXPECT_LT(prev_max, t->min_key());
+    }
     prev_max = t->max_key();
     total += int(t->entry_count());
   }
@@ -569,9 +571,12 @@ TEST(FormatCompatTest, OpensLegacyV1FooterTables) {
   EXPECT_EQ(legacy.value()->entry_count(), entries.size());
   EXPECT_EQ(legacy.value()->min_key(), Key(0, 0));
   EXPECT_EQ(legacy.value()->max_key(), Key(0, 49));
-  InternalEntry e;
-  ASSERT_TRUE(legacy.value()->Get(Key(0, 17), ~SequenceNumber{0}, &e).ok());
-  EXPECT_EQ(e.value, "v1value");
+  std::string value;
+  bool tomb = true;
+  ASSERT_TRUE(
+      legacy.value()->Get(Key(0, 17), ~SequenceNumber{0}, &value, &tomb).ok());
+  EXPECT_FALSE(tomb);
+  EXPECT_EQ(value, "v1value");
 
   auto modern = SSTable::Build(dir + "/modern.sst", entries);
   ASSERT_TRUE(modern.ok());

@@ -1,18 +1,23 @@
 // Concurrency stress tests for the LSM storage engine: parallel
 // committers (group commit), readers racing background flushes and
-// compactions, snapshot iterators under churn, and write backpressure.
-// Suite name matches the CI TSan filter (*StorageConcurrency*); op
-// counts are sized so the suite stays fast under instrumentation.
+// compactions, lock-free readers of the memtable skip list and of the
+// published read views, snapshot iterators under churn, and write
+// backpressure.  Suite name matches the CI TSan filter
+// (*StorageConcurrency*); op counts are sized so the suite stays fast
+// under instrumentation.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "storage/kv_store.h"
+#include "storage/skiplist.h"
 
 namespace deluge::storage {
 namespace {
@@ -159,7 +164,9 @@ TEST(StorageConcurrencyTest, SnapshotIteratorStableUnderConcurrentWrites) {
     std::string prev;
     size_t count = 0;
     for (it.SeekToFirst(); it.Valid(); it.Next()) {
-      if (count > 0) EXPECT_LT(prev, it.key());
+      if (count > 0) {
+        EXPECT_LT(prev, it.key());
+      }
       prev = it.key();
       ++count;
     }
@@ -329,6 +336,143 @@ TEST(StorageConcurrencyTest, ReadsRaceCompactionFileReplacement) {
   }
   for (int i = 0; i < 120; ++i) {
     ASSERT_TRUE(db->Get(Key(2, i), &v).ok()) << Key(2, i);
+  }
+}
+
+TEST(StorageConcurrencyTest, SkipListReadersRaceTheWriter) {
+  // One writer inserts shuffled keys while readers scan and seek without
+  // any lock.  Every scan must be strictly ascending and hold every key
+  // whose insert finished before the scan began; a seek to such a key
+  // must land on it.
+  struct Cmp {
+    int operator()(uint64_t a, uint64_t b) const {
+      return a < b ? -1 : (a > b ? 1 : 0);
+    }
+  };
+  SkipList<uint64_t, Cmp> list;
+  constexpr int kKeys = 3000;
+  std::vector<uint64_t> order(kKeys);
+  std::iota(order.begin(), order.end(), uint64_t{0});
+  Rng shuffle(11);
+  shuffle.Shuffle(order);
+  std::atomic<int> inserted{0};
+  std::atomic<int> violations{0};
+  std::atomic<int> scans{0};
+
+  std::thread writer([&] {
+    for (int i = 0; i < kKeys; ++i) {
+      list.Insert(order[size_t(i)]);
+      inserted.store(i + 1, std::memory_order_release);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(uint64_t(t) + 1);
+      std::vector<char> seen(kKeys);
+      // At least one scan per reader, even if the writer finishes first.
+      do {
+        const int before = inserted.load(std::memory_order_acquire);
+        std::fill(seen.begin(), seen.end(), 0);
+        SkipList<uint64_t, Cmp>::Iterator it(&list);
+        bool first = true;
+        uint64_t prev = 0;
+        for (it.SeekToFirst(); it.Valid(); it.Next()) {
+          if (!first && it.key() <= prev) violations.fetch_add(1);
+          first = false;
+          prev = it.key();
+          seen[size_t(it.key())] = 1;
+        }
+        for (int i = 0; i < before; ++i) {
+          if (!seen[size_t(order[size_t(i)])]) violations.fetch_add(1);
+        }
+        if (before > 0) {
+          const uint64_t target = order[rng.Uniform(uint64_t(before))];
+          it.Seek(target);
+          if (!it.Valid() || it.key() != target) violations.fetch_add(1);
+        }
+        scans.fetch_add(1);
+      } while (inserted.load(std::memory_order_acquire) < kKeys);
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_GE(scans.load(), 3);
+  EXPECT_EQ(list.size(), size_t(kKeys));
+}
+
+TEST(StorageConcurrencyTest, LockFreeReadersSeeWholeBatchesInOrder) {
+  // Every WriteBatch sets all kKeys keys to its round number, rounds
+  // increasing.  Readers Get the keys in the order the batch inserts
+  // them, so a key read later can never hold an older round than one
+  // read before it: that would be a batch seen half-inserted, or a read
+  // going back in time.  Tiny memtables make seals, flushes and
+  // compactions swap the read view under the readers all along, and
+  // every snapshot iterator must see each round whole.
+  KVStoreOptions opts;
+  opts.dir = TempDir("whole_batches");
+  opts.memtable_max_bytes = 8 << 10;
+  opts.l0_compaction_trigger = 2;
+  opts.block_cache_bytes = 256 << 10;
+  auto store = KVStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  KVStore* db = store.value().get();
+
+  constexpr int kKeys = 16;
+  constexpr int kRounds = 300;
+  auto round_of = [](const std::string& v) { return std::stoi(v); };
+  std::atomic<bool> done{false};
+  std::atomic<int> violations{0};
+  std::atomic<int> errors{0};
+
+  std::thread writer([&] {
+    WriteBatch batch;
+    for (int r = 1; r <= kRounds; ++r) {
+      batch.Clear();
+      const std::string value = std::to_string(r) + ":" + std::string(96, 'p');
+      for (int k = 0; k < kKeys; ++k) batch.Put(Key(7, k), value);
+      if (!db->Write(batch).ok()) errors.fetch_add(1);
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::string v;
+      int passes = 0;
+      while (!done.load()) {
+        int prev = 0;
+        for (int k = 0; k < kKeys; ++k) {
+          Status s = db->Get(Key(7, k), &v);
+          if (!s.ok() && !s.IsNotFound()) errors.fetch_add(1);
+          const int r = s.ok() ? round_of(v) : 0;
+          if (r < prev) violations.fetch_add(1);
+          prev = r;
+        }
+        if (t == 0 && ++passes % 8 == 0) {
+          // A snapshot holds each round whole: one value for every key.
+          auto it = db->NewIterator();
+          std::string first;
+          int count = 0;
+          for (it.SeekToFirst(); it.Valid(); it.Next(), ++count) {
+            if (count == 0) first = it.value();
+            if (it.value() != first) violations.fetch_add(1);
+          }
+          if (count != 0 && count != kKeys) violations.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(db->stats().flushes, 0u);
+  std::string v;
+  for (int k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(db->Get(Key(7, k), &v).ok());
+    EXPECT_EQ(round_of(v), kRounds);
   }
 }
 

@@ -243,8 +243,10 @@ TEST(WalTest, MissingFileReplaysNothing) {
 
 // -------------------------------------------------------------- MemTable
 
+constexpr size_t kMemTableBudget = 64u << 10;
+
 TEST(MemTableTest, PutThenGet) {
-  MemTable mt;
+  MemTable mt(kMemTableBudget);
   mt.Add(1, ValueType::kValue, "k", "v1");
   std::string value;
   bool tomb = false;
@@ -254,7 +256,7 @@ TEST(MemTableTest, PutThenGet) {
 }
 
 TEST(MemTableTest, NewestVersionWins) {
-  MemTable mt;
+  MemTable mt(kMemTableBudget);
   mt.Add(1, ValueType::kValue, "k", "old");
   mt.Add(2, ValueType::kValue, "k", "new");
   std::string value;
@@ -264,7 +266,7 @@ TEST(MemTableTest, NewestVersionWins) {
 }
 
 TEST(MemTableTest, SnapshotSeesOldVersion) {
-  MemTable mt;
+  MemTable mt(kMemTableBudget);
   mt.Add(1, ValueType::kValue, "k", "old");
   mt.Add(5, ValueType::kValue, "k", "new");
   std::string value;
@@ -274,7 +276,7 @@ TEST(MemTableTest, SnapshotSeesOldVersion) {
 }
 
 TEST(MemTableTest, TombstoneVisible) {
-  MemTable mt;
+  MemTable mt(kMemTableBudget);
   mt.Add(1, ValueType::kValue, "k", "v");
   mt.Add(2, ValueType::kTombstone, "k", "");
   std::string value;
@@ -284,11 +286,40 @@ TEST(MemTableTest, TombstoneVisible) {
 }
 
 TEST(MemTableTest, MissingKey) {
-  MemTable mt;
+  MemTable mt(kMemTableBudget);
   mt.Add(1, ValueType::kValue, "a", "v");
   std::string value;
   bool tomb = false;
   EXPECT_FALSE(mt.Get("b", KVStore::kMaxSequence, &value, &tomb));
+}
+
+TEST(MemTableTest, FilterNeverHidesAnAddedKey) {
+  // A 4 KB budget (a 1 Kbit filter) for 2000 keys: the filter is
+  // saturated with false positives, yet every added key (and its newest
+  // visible version) must be found and an absent key must still miss.
+  MemTable mt(/*budget_bytes=*/4096);
+  for (int i = 0; i < 2000; ++i) {
+    mt.Add(SequenceNumber(i + 1), ValueType::kValue, "key" + std::to_string(i),
+           "v" + std::to_string(i));
+  }
+  mt.Add(5000, ValueType::kTombstone, "key7", "");
+  std::string value;
+  bool tomb = false;
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(mt.Get("key" + std::to_string(i), KVStore::kMaxSequence,
+                       &value, &tomb));
+    EXPECT_EQ(tomb, i == 7);
+    if (i != 7) {
+      EXPECT_EQ(value, "v" + std::to_string(i));
+    }
+  }
+  ASSERT_TRUE(mt.Get("key7", 4999, &value, &tomb));
+  EXPECT_FALSE(tomb);
+  EXPECT_EQ(value, "v7");
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_FALSE(mt.Get("absent" + std::to_string(i), KVStore::kMaxSequence,
+                        &value, &tomb));
+  }
 }
 
 // --------------------------------------------------------------- SSTable
@@ -315,11 +346,15 @@ TEST(SSTableTest, BuildOpenGet) {
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ(table.value()->entry_count(), 100u);
 
-  InternalEntry e;
-  ASSERT_TRUE(table.value()->Get("key00042", KVStore::kMaxSequence, &e).ok());
-  EXPECT_EQ(e.value, "value42");
-  EXPECT_TRUE(
-      table.value()->Get("key99999", KVStore::kMaxSequence, &e).IsNotFound());
+  std::string value;
+  bool tomb = true;
+  ASSERT_TRUE(
+      table.value()->Get("key00042", KVStore::kMaxSequence, &value, &tomb).ok());
+  EXPECT_FALSE(tomb);
+  EXPECT_EQ(value, "value42");
+  EXPECT_TRUE(table.value()
+                  ->Get("key99999", KVStore::kMaxSequence, &value, &tomb)
+                  .IsNotFound());
 }
 
 TEST(SSTableTest, MinMaxKeys) {
@@ -372,18 +407,22 @@ TEST(SSTableTest, SnapshotFiltersVersions) {
   }
   auto table = SSTable::Build(dir + "/t.sst", entries);
   ASSERT_TRUE(table.ok());
-  InternalEntry e;
-  ASSERT_TRUE(table.value()->Get("k", 25, &e).ok());
-  EXPECT_EQ(e.value, "v20");
-  ASSERT_TRUE(table.value()->Get("k", 5, &e).IsNotFound());
+  std::string value;
+  bool tomb = false;
+  ASSERT_TRUE(table.value()->Get("k", 25, &value, &tomb).ok());
+  EXPECT_EQ(value, "v20");
+  ASSERT_TRUE(table.value()->Get("k", 5, &value, &tomb).IsNotFound());
 }
 
 TEST(SSTableTest, EmptyTable) {
   std::string dir = TempDir("sst6");
   auto table = SSTable::Build(dir + "/t.sst", {});
   ASSERT_TRUE(table.ok());
-  InternalEntry e;
-  EXPECT_TRUE(table.value()->Get("x", KVStore::kMaxSequence, &e).IsNotFound());
+  std::string value;
+  bool tomb = false;
+  EXPECT_TRUE(table.value()
+                  ->Get("x", KVStore::kMaxSequence, &value, &tomb)
+                  .IsNotFound());
   SSTable::Iterator it(table.value().get());
   it.SeekToFirst();
   EXPECT_FALSE(it.Valid());
@@ -418,25 +457,85 @@ TEST(SSTableTest, VersionsStraddlingIndexBoundaryReturnNewest) {
   }
   auto table = SSTable::Build(dir + "/t.sst", entries);
   ASSERT_TRUE(table.ok());
-  InternalEntry found;
-  ASSERT_TRUE(table.value()->Get("b", KVStore::kMaxSequence, &found).ok());
-  EXPECT_EQ(found.value, "vb40");  // the NEWEST version, not a mid-run one
-  ASSERT_TRUE(table.value()->Get("b", 25, &found).ok());
-  EXPECT_EQ(found.value, "vb25");
+  std::string found;
+  bool tomb = false;
+  ASSERT_TRUE(
+      table.value()->Get("b", KVStore::kMaxSequence, &found, &tomb).ok());
+  EXPECT_EQ(found, "vb40");  // the NEWEST version, not a mid-run one
+  ASSERT_TRUE(table.value()->Get("b", 25, &found, &tomb).ok());
+  EXPECT_EQ(found, "vb25");
+}
+
+TEST(SSTableTest, InPlaceProbeAssemblesRecordsAcrossChunks) {
+  // 40 KB values: most records straddle a 64 KB read chunk, so the probe
+  // must assemble them from two chunks (and keep the second buffered for
+  // the next record).  Each value comes back whole, and versions and
+  // tombstones resolve as they do inside one chunk — with and without a
+  // block cache.
+  std::string dir = TempDir("sst_chunks");
+  std::vector<InternalEntry> entries;
+  for (int i = 0; i < 12; ++i) {
+    InternalEntry e;
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "big%02d", i);
+    e.user_key = buf;
+    e.seq = 5;
+    e.value = std::string(40 << 10, char('a' + i)) + std::to_string(i);
+    entries.push_back(e);
+  }
+  for (SequenceNumber seq : {30, 20}) {  // "m": deleted at 30, put at 20
+    InternalEntry e;
+    e.user_key = "m";
+    e.seq = seq;
+    e.type = seq == 30 ? ValueType::kTombstone : ValueType::kValue;
+    e.value = seq == 30 ? "" : std::string(50 << 10, 'm');
+    entries.push_back(e);
+  }
+  BlockCache cache(4 << 20);
+  for (BlockCache* c : {static_cast<BlockCache*>(nullptr), &cache}) {
+    auto table = SSTable::Build(dir + "/t.sst", entries, 10, nullptr, c);
+    ASSERT_TRUE(table.ok());
+    ASSERT_GT(table.value()->file_size(), 4 * SSTable::kReadChunkSize);
+    std::string value;
+    bool tomb = true;
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(table.value()
+                      ->Get(entries[size_t(i)].user_key, KVStore::kMaxSequence,
+                            &value, &tomb)
+                      .ok());
+      EXPECT_FALSE(tomb);
+      EXPECT_EQ(value, entries[size_t(i)].value);
+    }
+    ASSERT_TRUE(
+        table.value()->Get("m", KVStore::kMaxSequence, &value, &tomb).ok());
+    EXPECT_TRUE(tomb);
+    ASSERT_TRUE(table.value()->Get("m", 25, &value, &tomb).ok());
+    EXPECT_FALSE(tomb);
+    EXPECT_EQ(value, std::string(50 << 10, 'm'));
+    EXPECT_TRUE(table.value()->Get("m", 10, &value, &tomb).IsNotFound());
+    EXPECT_TRUE(table.value()
+                    ->Get("big05x", KVStore::kMaxSequence, &value, &tomb)
+                    .IsNotFound());
+  }
+  EXPECT_GT(cache.hits(), 0u);
 }
 
 TEST(SSTableTest, BloomSkipsAbsentKeys) {
   std::string dir = TempDir("sst8");
   auto table = SSTable::Build(dir + "/t.sst", MakeEntries(1000));
   ASSERT_TRUE(table.ok());
-  InternalEntry e;
+  obs::Counter checks, useful;
+  table.value()->set_probe_counters(&checks, &useful);
+  std::string value;
+  bool tomb = false;
   for (int i = 0; i < 500; ++i) {
     table.value()->Get("missing" + std::to_string(i), KVStore::kMaxSequence,
-                       &e);
+                       &value, &tomb);
   }
   // The overwhelming majority of absent probes must be answered by the
   // bloom filter without touching the data region.
-  EXPECT_GT(table.value()->bloom_negative_count, 450u);
+  EXPECT_EQ(checks.Value(), 500u);
+  EXPECT_GT(useful.Value(), 450u);
 }
 
 // --------------------------------------------------------------- KVStore
