@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
         const std::string prefix =
             std::string("slo/") + QosClassName(cls.cls) + "/" + leg.leg;
         EmitLine(out, prefix + "/attainment", leg.attainment);
-        EmitLine(out, prefix + "/p99_us", leg.p99_us);
+        EmitLine(out, prefix + "/p99", leg.p99);
         EmitLine(out, prefix + "/samples", double(leg.samples));
       }
     }

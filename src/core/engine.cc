@@ -20,12 +20,7 @@ CoSpaceEngine::EngineCounters::EngineCounters(obs::StatsScope& scope)
       suppressed_updates(scope.counter("suppressed_updates")),
       virtual_commands(scope.counter("virtual_commands")),
       relayed_commands(scope.counter("relayed_commands")),
-      events_published(scope.counter("events_published")) {
-  for (QosClass c : kAllQosClasses) {
-    ingest_us[uint8_t(c)] =
-        scope.histogram("ingest_us", {{"qos", QosClassName(c)}});
-  }
-}
+      events_published(scope.counter("events_published")) {}
 
 void CoSpaceEngine::EngineCounters::Fill(EngineStats* out) const {
   out->physical_updates = physical_updates->Value();
@@ -96,7 +91,6 @@ void CoSpaceEngine::SetContract(EntityId id,
 bool CoSpaceEngine::IngestPhysicalPosition(EntityId id, const geo::Vec3& pos,
                                            Micros t, QosClass qos) {
   obs::Span span("ingest.position");
-  obs::ScopedTimer ingest_timer(c_.ingest_us[uint8_t(qos)]);
   c_.physical_updates->Add(1);
   // The physical space always tracks ground truth.
   physical_.Move(id, pos, t);
@@ -118,7 +112,6 @@ Status CoSpaceEngine::IngestPhysicalAttribute(EntityId id,
                                               const std::string& name,
                                               stream::Value value, Micros t,
                                               QosClass qos) {
-  obs::ScopedTimer ingest_timer(c_.ingest_us[uint8_t(qos)]);
   Status s = physical_.SetAttribute(id, name, value);
   if (!s.ok()) return s;
   s = virtual_.SetAttribute(id, name, value);

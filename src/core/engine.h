@@ -78,7 +78,7 @@ class CoSpaceEngine {
   /// Updates the physical space always; refreshes the virtual mirror
   /// only when the coherency contract demands it.  Returns true when
   /// the mirror was refreshed.  `qos` rides the published event and
-  /// labels the ingest/coherency hop metrics.
+  /// labels the coherency hop metrics.
   bool IngestPhysicalPosition(EntityId id, const geo::Vec3& pos, Micros t,
                               QosClass qos = QosClass::kRealtime);
 
@@ -121,9 +121,6 @@ class CoSpaceEngine {
     obs::Counter* virtual_commands;
     obs::Counter* relayed_commands;
     obs::Counter* events_published;
-    /// Wall-clock cost of the ingest hop, per QoS class
-    /// (engine.ingest_us{qos=...}).
-    obs::ConcurrentHistogram* ingest_us[kQosClassCount];
 
     void Fill(EngineStats* out) const;
   };

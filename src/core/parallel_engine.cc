@@ -1,6 +1,7 @@
 #include "core/parallel_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "common/parallel_for.h"
@@ -146,7 +147,12 @@ ParallelEngine::Shard::Shard(const EngineOptions& opts, size_t num_shards,
       obs("engine", obs::Labels{{"shard", std::to_string(index)}}),
       c(obs),
       outbox(num_shards),
-      tile_load(tile_code_limit, 0.0) {}
+      tile_load(tile_code_limit, 0.0) {
+  for (QosClass q : kAllQosClasses) {
+    ingest_ns[uint8_t(q)] =
+        obs.histogram("ingest_ns", {{"qos", QosClassName(q)}});
+  }
+}
 
 ParallelEngine::ParallelEngine(ParallelEngineOptions options,
                                ThreadPool* pool, Clock* clock)
@@ -265,7 +271,6 @@ void ParallelEngine::ChargeTile(Shard& shard, uint32_t tile, double amount) {
 }
 
 bool ParallelEngine::IngestOnShard(Shard& shard, const SensedUpdate& u) {
-  obs::ScopedTimer ingest_timer(shard.c.ingest_us[uint8_t(u.qos)]);
   shard.c.physical_updates->Add(1);
   const uint32_t pos_tile = sharder_.TileCodeOf(u.position);
   if (options_.elastic.enabled) {
@@ -285,13 +290,30 @@ bool ParallelEngine::IngestOnShard(Shard& shard, const SensedUpdate& u) {
   shard.c.mirrored_updates->Add(1);
   shard.virtual_space.Move(u.id, u.position, u.t);
 
-  // Stage the mirror event for phase 2 on the shard owning the event's
-  // *position* — regional watches live on the shards their region
-  // overlaps, so position-routing makes cross-shard delivery exact.
   shard.c.events_published->Add(1);
-  shard.outbox[sharder_.assignment()[pos_tile]].push_back(
-      MakeMirrorPositionEvent(u.id, u.position, u.t, u.qos));
+  pubsub::Event event = MakeMirrorPositionEvent(u.id, u.position, u.t, u.qos);
+  if (shards_.size() == 1) {
+    // Nothing to exchange between shards: publish now, so the refresh
+    // reaches its watchers before the next update is ingested.
+    PublishOnShard(shard, event);
+  } else {
+    // Stage the event for phase 2 on the shard owning its *position* —
+    // regional watches live on the shards their region overlaps, so
+    // position-routing makes cross-shard delivery exact.
+    shard.outbox[sharder_.assignment()[pos_tile]].push_back(std::move(event));
+  }
   return true;
+}
+
+void ParallelEngine::PublishOnShard(Shard& dest, const pubsub::Event& event) {
+  const size_t deliveries = dest.broker->Publish(event);
+  if (options_.elastic.enabled && deliveries > 0 &&
+      event.position.has_value()) {
+    // Fan-out cost lands on the event's position tile, which this
+    // destination shard owns (events are position-routed).
+    ChargeTile(dest, sharder_.TileCodeOf(*event.position),
+               options_.elastic.fanout_weight * double(deliveries));
+  }
 }
 
 size_t ParallelEngine::RunPipeline(std::span<const SensedUpdate> direct,
@@ -315,37 +337,46 @@ size_t ParallelEngine::RunPipeline(std::span<const SensedUpdate> direct,
   }
 
   std::vector<size_t> mirrored(n, 0);
-  // Phase 1 — ingest: every shard applies its own entities' updates.
+  // Phase 1 — ingest: every shard applies its own entities' updates,
+  // timed once per run (a per-update timer would cost about as much as
+  // the update).
   ParallelFor(pool_, n, [&](size_t s) {
     Shard& shard = *shards_[s];
+    const std::vector<SensedUpdate>& batch = batches[s];
+    if (batch.empty()) return;
+    uint64_t per_class[kQosClassCount] = {};
     size_t m = 0;
-    for (const SensedUpdate& u : batches[s]) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const SensedUpdate& u : batch) {
+      ++per_class[uint8_t(u.qos)];
       if (IngestOnShard(shard, u)) ++m;
+    }
+    const int64_t ns_per_update =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count() /
+        int64_t(batch.size());
+    for (int q = 0; q < kQosClassCount; ++q) {
+      if (per_class[q] > 0) {
+        shard.ingest_ns[q]->RecordMany(ns_per_update, per_class[q]);
+      }
     }
     mirrored[s] = m;
   });
   // Phase 2 — fan-out: every shard publishes the events routed to it,
   // draining outboxes in shard order so publish order is deterministic.
-  const bool elastic = options_.elastic.enabled;
-  const double fanout_weight = options_.elastic.fanout_weight;
-  ParallelFor(pool_, n, [&](size_t d) {
-    Shard& dest = *shards_[d];
-    pubsub::Broker& broker = *dest.broker;
-    for (size_t s = 0; s < n; ++s) {
-      std::vector<pubsub::Event>& out = shards_[s]->outbox[d];
-      for (const pubsub::Event& event : out) {
-        size_t deliveries = broker.Publish(event);
-        if (elastic && deliveries > 0 && event.position.has_value()) {
-          // Fan-out cost lands on the event's position tile, which this
-          // destination shard owns (events are position-routed).
-          ChargeTile(dest, sharder_.TileCodeOf(*event.position),
-                     fanout_weight * double(deliveries));
-        }
+  // One shard published its events during phase 1.
+  if (n > 1) {
+    ParallelFor(pool_, n, [&](size_t d) {
+      Shard& dest = *shards_[d];
+      for (size_t s = 0; s < n; ++s) {
+        std::vector<pubsub::Event>& out = shards_[s]->outbox[d];
+        for (const pubsub::Event& event : out) PublishOnShard(dest, event);
+        out.clear();
       }
-      out.clear();
-    }
-  });
-  if (elastic) {
+    });
+  }
+  if (options_.elastic.enabled) {
     FoldTileLoadsLocked();
     MaybeRebalanceLocked();
   }

@@ -163,11 +163,21 @@ struct ParallelEngineOptions {
 ///      to it on its own broker, so subscriber matching and delivery
 ///      run shard-local and in parallel.
 ///
+/// A one-shard engine has no cross-shard exchange, so it skips the
+/// barrier: phase 1 publishes each refresh as soon as it passes
+/// coherency, and its watchers see it before the next update of the
+/// batch is ingested — in the order `CoSpaceEngine` would deliver.
+///
 /// Regional watches are registered on every shard overlapping the
 /// region, which together with position-routed fan-out makes delivery
 /// exact even when entities roam off their home shard.  Summed
 /// `EngineStats` are byte-identical to `CoSpaceEngine` fed the same
 /// per-entity update sequences.
+///
+/// Each shard times its phase-1 loop once per pipeline run and records
+/// the mean nanoseconds per update into `engine.ingest_ns{qos=...}`,
+/// one sample per update of that class (with one shard the loop also
+/// covers the fan-out it streams).
 ///
 /// With `ElasticOptions.enabled`, every pipeline run charges each
 /// update and each delivery to its position tile; the per-tile EWMA
@@ -308,10 +318,14 @@ class ParallelEngine {
     /// so sums stay byte-identical to the serial engine.
     obs::StatsScope obs;
     CoSpaceEngine::EngineCounters c;
+    /// Phase-1 cost per update, ns, per QoS class
+    /// (engine.ingest_ns{qos=...}).
+    obs::ConcurrentHistogram* ingest_ns[kQosClassCount];
     mutable EngineStats snapshot;
     std::mutex staged_mu;
     std::vector<SensedUpdate> staged;
-    /// Events emitted in phase 1, bucketed by destination shard.
+    /// Events emitted in phase 1, bucketed by destination shard (unused
+    /// with one shard, which publishes as it ingests).
     std::vector<std::vector<pubsub::Event>> outbox;
     /// Per-tile load charged this pipeline run (elastic mode only).
     /// Only this shard's task writes it (each task charges its own
@@ -331,6 +345,9 @@ class ParallelEngine {
 
   size_t HomeOf(EntityId id, const geo::Vec3& fallback_pos) const;
   bool IngestOnShard(Shard& shard, const SensedUpdate& u);
+  /// Publishes `event` on `dest`'s broker and, in elastic mode, charges
+  /// the deliveries to the event's position tile.
+  void PublishOnShard(Shard& dest, const pubsub::Event& event);
   static void ChargeTile(Shard& shard, uint32_t tile, double amount);
   /// Routes + runs the two-phase pipeline under `pipeline_mu_`.  When
   /// `flush_staged` is set, each shard's staged queue is drained ahead

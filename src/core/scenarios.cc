@@ -19,7 +19,7 @@ struct LegSpec {
 };
 
 const LegSpec kLegSpecs[] = {
-    {"engine.ingest_us", nullptr},
+    {"engine.ingest_ns", nullptr},
     {"coherency.refresh_gap_us", &QosTarget::freshness_us},
     {"broker.delivery_us", &QosTarget::delivery_p99_us},
     {"net.send_us", &QosTarget::delivery_p99_us},
@@ -324,7 +324,7 @@ const LegSlo* SloReport::leg(QosClass c, std::string_view name) const {
 
 std::string SloReport::ToString() const {
   std::string out =
-      "class        leg                         samples     p99_us  "
+      "class        leg                         samples        p99  "
       "target_us  attain   min  status\n";
   char line[160];
   for (const ClassSlo& cls : classes) {
@@ -333,7 +333,7 @@ std::string SloReport::ToString() const {
           line, sizeof(line),
           "%-12s %-26s %9llu %10.0f %10lld  %5.1f%% %5.0f%%  %s\n",
           QosClassName(cls.cls), l.leg.c_str(),
-          static_cast<unsigned long long>(l.samples), l.p99_us,
+          static_cast<unsigned long long>(l.samples), l.p99,
           static_cast<long long>(l.target_us), 100.0 * l.attainment,
           100.0 * l.min_attainment,
           l.target_us == 0 ? "info" : (l.met ? "ok" : "VIOLATED"));
@@ -371,7 +371,7 @@ SloReport ComputeSloReport(const QosPolicy& policy) {
       LegSlo slo;
       slo.leg = kLegSpecs[leg].name;
       slo.samples = hist.count();
-      slo.p99_us = hist.P99();
+      slo.p99 = hist.P99();
       slo.target_us =
           kLegSpecs[leg].target != nullptr ? target.*kLegSpecs[leg].target : 0;
       slo.min_attainment = target.min_attainment;

@@ -101,7 +101,7 @@ struct ScenarioTotals {
 /// The E25 end-to-end composition: live event streaming, the hospital
 /// digital twin, and AR navigation share one process, one QoS taxonomy
 /// (DESIGN.md §13), and one metrics registry.  Running it populates
-/// every per-class hop histogram (`engine.ingest_us`,
+/// every per-class hop histogram (`engine.ingest_ns`,
 /// `coherency.refresh_gap_us`, `broker.delivery_us`, `net.send_us`,
 /// `storage.commit_us`), which `ComputeSloReport` then grades against a
 /// `QosPolicy` — the regression gate `bench_e25_e2e` ships.
@@ -163,7 +163,7 @@ class MixedScenario {
 struct LegSlo {
   std::string leg;            ///< registry metric name
   uint64_t samples = 0;
-  double p99_us = 0.0;
+  double p99 = 0.0;           ///< in the leg's unit (its name's suffix)
   Micros target_us = 0;       ///< 0 = informational, no claim
   double min_attainment = 0.0;
   double attainment = 1.0;    ///< fraction of samples <= target
@@ -196,7 +196,8 @@ struct SloReport {
 /// instrumented hop's `{qos=...}` histograms are merged across
 /// instances and scored as FractionBelow(target) >= min_attainment.
 /// Hops and their policy targets:
-///   engine.ingest_us          — informational (wall-clock, no claim)
+///   engine.ingest_ns          — informational (wall-clock ns per
+///                               update, sharded engine only; no claim)
 ///   coherency.refresh_gap_us  — freshness_us
 ///   broker.delivery_us        — delivery_p99_us
 ///   net.send_us               — delivery_p99_us (the WAN hop shares

@@ -28,8 +28,8 @@ namespace deluge::net {
 ///   ...payload      `length - 20` opaque bytes
 ///
 /// The payload is the same zero-copy `common::Buffer` encoding the sim
-/// path carries; the encoder never copies it (senders writev the header
-/// and the buffer separately).
+/// path carries; the encoder never copies it (senders gather-write the
+/// header and the buffer with one sendmsg).
 
 /// Encoded header size, including the length prefix.
 inline constexpr size_t kFrameHeaderBytes = 24;
@@ -49,7 +49,7 @@ inline constexpr size_t kDefaultMaxFrameBytes = 64u << 20;
 void EncodeFrameHeader(const Message& msg, char* out);
 
 /// Header + payload as one contiguous string (tests and small frames;
-/// the hot path uses EncodeFrameHeader + writev instead).
+/// the hot path uses EncodeFrameHeader + a gather write instead).
 std::string EncodeFrame(const Message& msg);
 
 /// Incremental frame parser for one byte stream (one per connection).

@@ -278,11 +278,11 @@ Status SocketTransport::Send(Message msg) {
     // Injected latency on the local view: hold the frame on the strand
     // before it reaches the wire.
     After(extra, [this, process, f = std::move(frame)]() mutable {
-      if (!EnqueueToPeer(process, std::move(f))) messages_dropped_->Add(1);
+      if (!SendToPeer(process, std::move(f))) messages_dropped_->Add(1);
     });
     return Status::OK();
   }
-  if (!EnqueueToPeer(process, std::move(frame))) {
+  if (!SendToPeer(process, std::move(frame))) {
     messages_dropped_->Add(1);
     return Status::Unavailable("send queue full");
   }
@@ -330,12 +330,31 @@ bool SocketTransport::BurstDropLocked(LinkFault& fault) {
                                         : fault.burst.loss_good);
 }
 
-bool SocketTransport::EnqueueToPeer(uint32_t process, OutFrame frame,
-                                    bool front) {
+bool SocketTransport::SendToPeer(uint32_t process, OutFrame frame,
+                                 bool front) {
   for (auto& p : peers_) {
     if (p->process != process) continue;
     std::lock_guard<std::mutex> lk(p->mu);
-    if (!front && p->queue.size() >= opts_.max_send_queue_frames) return false;
+    if (p->fd >= 0 && p->queue.empty() && !p->tail && !p->sending) {
+      // Idle peer: write from this thread, without waking the sender
+      // task.  MSG_DONTWAIT keeps the caller from ever blocking; the
+      // sender task takes whatever this write leaves.
+      const ssize_t n = SendRest(p->fd, frame, MSG_DONTWAIT);
+      if (n > 0) frame.offset += size_t(n);
+      if (frame.offset == frame.size()) {
+        CountSent(frame);
+        return true;
+      }
+      if (frame.offset > 0) {
+        // Part of it is on the wire: the rest goes out next, ahead of
+        // any frame queued from now on.
+        p->tail = std::move(frame);
+        p->cv.notify_one();
+        return true;
+      }
+    } else if (!front && p->queue.size() >= opts_.max_send_queue_frames) {
+      return false;
+    }
     if (front) {
       p->queue.push_front(std::move(frame));
     } else {
@@ -349,37 +368,45 @@ bool SocketTransport::EnqueueToPeer(uint32_t process, OutFrame frame,
 
 // --- sender tasks ------------------------------------------------------
 
-bool SocketTransport::WriteFrame(int fd, const OutFrame& frame) {
+ssize_t SocketTransport::SendRest(int fd, const OutFrame& frame, int flags) {
   const size_t hlen = frame.header.size();
-  const size_t plen = frame.payload.size();
-  const size_t total = hlen + plen;
-  size_t off = 0;
-  while (off < total) {
-    iovec iov[2];
-    int cnt = 0;
-    if (off < hlen) {
-      iov[cnt].iov_base = const_cast<char*>(frame.header.data()) + off;
-      iov[cnt].iov_len = hlen - off;
-      ++cnt;
-      if (plen > 0) {
-        iov[cnt].iov_base = const_cast<char*>(frame.payload.data());
-        iov[cnt].iov_len = plen;
-        ++cnt;
-      }
-    } else {
-      iov[cnt].iov_base = const_cast<char*>(frame.payload.data()) + (off - hlen);
-      iov[cnt].iov_len = plen - (off - hlen);
-      ++cnt;
+  iovec iov[2];
+  size_t cnt = 0;
+  if (frame.offset < hlen) {
+    iov[cnt++] = {const_cast<char*>(frame.header.data()) + frame.offset,
+                  hlen - frame.offset};
+    if (!frame.payload.empty()) {
+      iov[cnt++] = {const_cast<char*>(frame.payload.data()),
+                    frame.payload.size()};
     }
-    const ssize_t n = ::writev(fd, iov, cnt);
+  } else {
+    const size_t sent = frame.offset - hlen;
+    iov[cnt++] = {const_cast<char*>(frame.payload.data()) + sent,
+                  frame.payload.size() - sent};
+  }
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = cnt;
+  // MSG_NOSIGNAL: a peer that went away is an error return, not SIGPIPE.
+  return ::sendmsg(fd, &msg, flags | MSG_NOSIGNAL);
+}
+
+bool SocketTransport::WriteFrame(int fd, OutFrame* frame) {
+  while (frame->offset < frame->size()) {
+    const ssize_t n = SendRest(fd, *frame, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;  // includes SO_SNDTIMEO expiry on a stalled peer
     }
     if (n == 0) return false;
-    off += size_t(n);
+    frame->offset += size_t(n);
   }
   return true;
+}
+
+void SocketTransport::CountSent(const OutFrame& frame) {
+  frames_sent_->Add(1);
+  wire_bytes_sent_->Add(frame.size());
 }
 
 int SocketTransport::ConnectPeer(Peer* peer) {
@@ -436,9 +463,8 @@ int SocketTransport::ConnectPeer(Peer* peer) {
       hf.header.resize(kFrameHeaderBytes);
       EncodeFrameHeader(hello, hf.header.data());
       hf.payload = hello.payload;
-      if (WriteFrame(fd, hf)) {
-        frames_sent_->Add(1);
-        wire_bytes_sent_->Add(hf.header.size() + hf.payload.size());
+      if (WriteFrame(fd, &hf)) {
+        CountSent(hf);
         if (peer->ever_connected) reconnects_->Add(1);
         peer->ever_connected = true;
         return fd;
@@ -456,49 +482,54 @@ int SocketTransport::ConnectPeer(Peer* peer) {
 }
 
 void SocketTransport::SenderLoop(Peer* peer) {
+  std::unique_lock<std::mutex> lk(peer->mu);
   while (true) {
-    OutFrame frame;
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lk(peer->mu);
-      peer->cv.wait(lk, [this, peer] {
-        return !running_.load(std::memory_order_acquire) ||
-               !peer->queue.empty();
-      });
-      if (!running_.load(std::memory_order_acquire)) break;
-      fd = peer->fd;
-    }
-    if (fd < 0) {
-      fd = ConnectPeer(peer);
+    peer->cv.wait(lk, [this, peer] {
+      return !running_.load(std::memory_order_acquire) || peer->tail ||
+             !peer->queue.empty();
+    });
+    if (!running_.load(std::memory_order_acquire)) break;
+    if (peer->fd < 0) {
+      lk.unlock();
+      const int fd = ConnectPeer(peer);
+      lk.lock();
       if (fd < 0) {
         if (!running_.load(std::memory_order_acquire)) break;
         // Reconnect budget spent: this batch is lost (datagram
         // semantics); the budget resets with the next enqueue.
-        std::lock_guard<std::mutex> lk(peer->mu);
         messages_dropped_->Add(peer->queue.size());
         peer->queue.clear();
         continue;
       }
-      std::lock_guard<std::mutex> lk(peer->mu);
       peer->fd = fd;
     }
-    {
-      std::lock_guard<std::mutex> lk(peer->mu);
-      if (peer->queue.empty()) continue;
+    // Holding a frame (`sending`) keeps callers from writing inline, so
+    // this task owns the fd until the frame is out.
+    OutFrame frame;
+    if (peer->tail) {
+      frame = std::move(*peer->tail);
+      peer->tail.reset();
+    } else if (!peer->queue.empty()) {
       frame = std::move(peer->queue.front());
       peer->queue.pop_front();
+    } else {
+      continue;
     }
-    if (WriteFrame(fd, frame)) {
-      frames_sent_->Add(1);
-      wire_bytes_sent_->Add(frame.header.size() + frame.payload.size());
+    peer->sending = true;
+    const int fd = peer->fd;
+    lk.unlock();
+    const bool ok = WriteFrame(fd, &frame);
+    lk.lock();
+    peer->sending = false;
+    if (ok) {
+      CountSent(frame);
     } else {
       ::close(fd);
-      std::lock_guard<std::mutex> lk(peer->mu);
       peer->fd = -1;
-      peer->queue.push_front(std::move(frame));  // resend after reconnect
+      frame.offset = 0;  // resent whole on the next connection
+      peer->queue.push_front(std::move(frame));
     }
   }
-  std::lock_guard<std::mutex> lk(peer->mu);
   if (peer->fd >= 0) {
     ::close(peer->fd);
     peer->fd = -1;
@@ -682,7 +713,7 @@ void SocketTransport::HandleControl(const Message& msg) {
       f.header.resize(kFrameHeaderBytes);
       EncodeFrameHeader(pong, f.header.data());
       f.payload = pong.payload;
-      EnqueueToPeer(src->process, std::move(f), /*front=*/true);
+      SendToPeer(src->process, std::move(f), /*front=*/true);
       break;
     }
     case kTypePong: {
@@ -712,7 +743,7 @@ void SocketTransport::SendPings() {
     f.header.resize(kFrameHeaderBytes);
     EncodeFrameHeader(ping, f.header.data());
     f.payload = ping.payload;
-    EnqueueToPeer(peer->process, std::move(f), /*front=*/true);
+    SendToPeer(peer->process, std::move(f), /*front=*/true);
   }
   After(opts_.ping_period, [this] { SendPings(); });
 }

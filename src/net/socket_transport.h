@@ -1,6 +1,8 @@
 #ifndef DELUGE_NET_SOCKET_TRANSPORT_H_
 #define DELUGE_NET_SOCKET_TRANSPORT_H_
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -8,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -73,8 +76,13 @@ struct SocketTransportOptions {
 /// callbacks all run there, giving the same single-strand contract as
 /// the simulator backend.  Each remote process additionally gets one
 /// *sender* task draining that peer's frame queue (blocking connect with
-/// `RetryPolicy` backoff, then writev of header + zero-copy payload
-/// Buffer).  `Send` may be called from any thread.
+/// `RetryPolicy` backoff, then sendmsg of header + zero-copy payload
+/// Buffer).  `Send` may be called from any thread.  When the peer is
+/// connected and idle (empty queue, no frame in the sender's hands),
+/// `Send` writes the frame itself with one non-blocking sendmsg; what
+/// that write leaves — the whole frame on EAGAIN or an error, the tail
+/// of a partial write — goes to the sender task, which alone closes and
+/// reconnects.  Frames to one peer leave in `Send` order.
 ///
 /// Clock: `Now()` is monotonic wall-clock micros since construction.
 ///
@@ -137,16 +145,27 @@ class SocketTransport final : public Transport {
   struct OutFrame {
     std::string header;
     common::Buffer payload;
+    /// Bytes already written on the current connection.
+    size_t offset = 0;
+    size_t size() const { return header.size() + payload.size(); }
   };
 
-  /// Send side of one remote process.
+  /// Send side of one remote process.  `mu` guards the queue, `tail`,
+  /// `fd` and `sending`; `process` and `endpoint` are fixed at Start,
+  /// and only the sender task touches `ever_connected`.
   struct Peer {
     uint32_t process = 0;
     SocketEndpoint endpoint;
     std::mutex mu;
     std::condition_variable cv;
+    /// Unwritten frames in send order, control frames at the front.
     std::deque<OutFrame> queue;
+    /// The rest of a frame a caller wrote in part; the sender task
+    /// writes it before anything queued, so nothing lands inside it.
+    std::optional<OutFrame> tail;
     int fd = -1;
+    /// The sender task has taken a frame and is writing it.
+    bool sending = false;
     bool ever_connected = false;
   };
 
@@ -184,9 +203,18 @@ class SocketTransport final : public Transport {
   /// Blocking connect to `peer` honouring the retry policy; returns the
   /// fd or -1 when the budget is exhausted or the transport stopped.
   int ConnectPeer(Peer* peer);
-  bool WriteFrame(int fd, const OutFrame& frame);
-  /// False when the peer is unknown or its queue is full.
-  bool EnqueueToPeer(uint32_t process, OutFrame frame, bool front = false);
+  /// One sendmsg of what is left of `frame` past its offset; the
+  /// syscall's result.
+  static ssize_t SendRest(int fd, const OutFrame& frame, int flags);
+  /// Blocking write of the rest of `*frame`, advancing its offset;
+  /// false when the connection failed.
+  bool WriteFrame(int fd, OutFrame* frame);
+  void CountSent(const OutFrame& frame);
+  /// Writes `frame` from the calling thread when the peer is idle, and
+  /// hands what is left to the sender task.  A `front` (control) frame
+  /// jumps the queue.  False when the peer is unknown or its queue is
+  /// full.
+  bool SendToPeer(uint32_t process, OutFrame frame, bool front = false);
 
   /// Drains readable bytes from `conn`; false = close the connection.
   bool ReadConn(Conn* conn);

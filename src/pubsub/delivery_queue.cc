@@ -57,9 +57,9 @@ void DeliveryHeap::SiftDown(std::vector<size_t>* heap, size_t pos, bool best) {
 }
 
 void DeliveryHeap::Release(size_t slot) {
-  Slot& s = slots_[slot];
-  assert(!s.alive);
-  assert(s.item.event == nullptr);  // ref was dropped at shed/pop time
+  assert(!slots_[slot].alive);
+  // The ref was dropped at shed/pop time.
+  assert(slots_[slot].item.event == nullptr);
   free_.push_back(slot);
 }
 

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -619,6 +621,97 @@ TEST(ParallelEngineTest, SingleShardNullPoolRunsSerially) {
   const Entity* mirrored = engine.FindVirtual(1);
   ASSERT_NE(mirrored, nullptr);
   EXPECT_EQ(mirrored->position.x, 20);
+}
+
+TEST(ParallelEngineTest, SingleShardPublishesEachRefreshBeforeTheNextUpdate) {
+  // One shard has no cross-shard exchange, so a refresh is published as
+  // soon as it passes coherency: its watcher runs while the batch's
+  // later updates are still unapplied.
+  ParallelEngineOptions opts = ShardedOptions(1);
+  opts.engine.default_contract = {0.0, 0};  // every update mirrors
+  ParallelEngine engine(opts, nullptr);
+  SimClock clock;
+  CoSpaceEngine serial(opts.engine, &clock);
+  const geo::Vec3 start[2] = {{100, 100, 50}, {200, 200, 50}};
+  for (EntityId id = 1; id <= 2; ++id) {
+    Entity e;
+    e.id = id;
+    e.position = start[id - 1];
+    engine.SpawnPhysical(e);
+    serial.SpawnPhysical(e);
+  }
+
+  using Delivery = std::tuple<std::string, double, double, Micros>;
+  auto record = [](std::vector<Delivery>* out, const pubsub::Event& ev) {
+    ASSERT_TRUE(ev.position.has_value());
+    out->emplace_back(ev.payload.key, ev.position->x, ev.position->y,
+                      ev.published_at);
+  };
+  std::vector<Delivery> streamed, reference;
+  bool checked_first = false;
+  engine.WatchRegion(1, kWorld, [&](net::NodeId, const pubsub::Event& ev) {
+    if (ev.payload.key == "1") {
+      const Entity* second = engine.FindVirtual(2);
+      ASSERT_NE(second, nullptr);
+      EXPECT_EQ(second->position.x, start[1].x)
+          << "entity 2 was mirrored before entity 1's refresh went out";
+      checked_first = true;
+    }
+    record(&streamed, ev);
+  });
+  serial.WatchRegion(1, kWorld, [&](net::NodeId, const pubsub::Event& ev) {
+    record(&reference, ev);
+  });
+
+  const std::vector<SensedUpdate> batch{{1, {110, 110, 50}, kMicrosPerSecond},
+                                        {2, {210, 210, 50}, kMicrosPerSecond}};
+  EXPECT_EQ(engine.IngestBatch(batch), 2u);
+  for (const SensedUpdate& u : batch) {
+    serial.IngestPhysicalPosition(u.id, u.position, u.t, u.qos);
+  }
+  EXPECT_TRUE(checked_first);
+  EXPECT_EQ(engine.FindVirtual(2)->position.x, 210);
+  ASSERT_EQ(streamed.size(), 2u);
+  EXPECT_EQ(streamed, reference);
+  ExpectStatsEqual(serial.stats(), engine.TotalStats());
+}
+
+TEST(ParallelEngineTest, SingleShardStreamingKeepsQueueModeAndElasticCharge) {
+  // Streaming publishes through the same call as phase 2: a queued
+  // broker still holds every delivery until Drain, in publish order,
+  // and elastic accounting still charges each delivery to its tile.
+  ParallelEngineOptions opts = ShardedOptions(1);
+  opts.engine.default_contract = {0.0, 0};  // every update mirrors
+  opts.elastic.enabled = true;
+  opts.elastic.ewma_alpha = 1.0;  // the EWMA is the last run's load
+  ParallelEngine engine(opts, nullptr);
+  engine.shard_broker(0).SetQueueLimit(1024);
+  constexpr EntityId kEntities = 8;
+  constexpr net::NodeId kWatchers = 3;
+  std::vector<SensedUpdate> batch;
+  for (EntityId id = 1; id <= kEntities; ++id) {
+    Entity e;
+    e.id = id;
+    e.position = {double(id) * 100, 100, 50};
+    engine.SpawnPhysical(e);
+    batch.push_back({id, {double(id) * 100 + 5, 105, 50}, kMicrosPerSecond});
+  }
+  std::vector<std::string> delivered;  // entity keys, in delivery order
+  for (net::NodeId w = 1; w <= kWatchers; ++w) {
+    engine.WatchRegion(w, kWorld, [&](net::NodeId, const pubsub::Event& ev) {
+      delivered.push_back(ev.payload.key);
+    });
+  }
+
+  EXPECT_EQ(engine.IngestBatch(batch), kEntities);
+  EXPECT_TRUE(delivered.empty()) << "a queued broker delivered inline";
+  EXPECT_EQ(engine.shard_broker(0).Drain(), kEntities * kWatchers);
+  ASSERT_EQ(delivered.size(), kEntities * kWatchers);
+  for (size_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i], std::to_string(i / kWatchers + 1)) << i;
+  }
+  // One unit per ingested update plus one per (queued) delivery.
+  EXPECT_EQ(engine.ShardLoads()[0], double(kEntities * (1 + kWatchers)));
 }
 
 }  // namespace

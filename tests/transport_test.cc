@@ -14,9 +14,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -193,16 +195,18 @@ struct TwoProcessPair {
   ThreadPool pool{8};
   std::unique_ptr<SocketTransport> a, b;
 
-  explicit TwoProcessPair(const ClusterConfig& cfg) {
+  explicit TwoProcessPair(const ClusterConfig& cfg, Micros ping_period = 0) {
     SocketTransportOptions oa;
     oa.config = cfg;
     oa.local_process = 0;
     oa.pool = &pool;
+    oa.ping_period = ping_period;
     a = std::make_unique<SocketTransport>(std::move(oa));
     SocketTransportOptions ob;
     ob.config = cfg;
     ob.local_process = 1;
     ob.pool = &pool;
+    ob.ping_period = ping_period;
     b = std::make_unique<SocketTransport>(std::move(ob));
   }
   ~TwoProcessPair() {
@@ -440,6 +444,102 @@ TEST(SocketTransportTest, SenderReconnectsAcrossPeerRestart) {
       << "frame queued before the peer existed was never delivered";
   a.Stop();
   b.Stop();
+}
+
+/// Two threads and `pair.a`'s strand each send numbered 16 KB frames to
+/// `pair.b`, pausing 100 µs between frames so the peer often falls idle
+/// and `Send` writes inline.  Every 100th frame the receiving handler
+/// stalls for 20 ms (far below the 1 s SO_SNDTIMEO), which fills the
+/// socket: an inline write then meets EAGAIN (Unix sockets) or a
+/// partial write whose tail the sender task finishes (TCP), and later
+/// frames queue while 1 ms pings and pongs jump the queue.  Every frame
+/// must arrive once, whole, in order per source.
+void ExerciseOrderedSends(const ClusterConfig& cfg) {
+  constexpr uint32_t kSources = 3;
+  constexpr uint32_t kFramesPerSource = 300;
+  constexpr size_t kFrameBytes = 16 * 1024;
+  constexpr uint32_t kTypeBase = 100;
+  auto fill = [](uint32_t source, uint32_t seq) {
+    return char('a' + (source * 7 + seq) % 26);
+  };
+
+  TwoProcessPair pair(cfg, /*ping_period=*/kMicrosPerMilli);
+  std::vector<uint32_t> next(kSources, 0);  // touched on b's strand only
+  std::atomic<uint32_t> received{0};
+  std::atomic<uint32_t> bad{0};
+  const NodeId na = pair.a->AddNode([](const Message&) {});
+  const NodeId nb = pair.b->AddNode([&](const Message& m) {
+    const uint32_t source = m.type - kTypeBase;
+    uint32_t seq = 0;
+    if (source >= kSources || m.payload.size() != kFrameBytes) {
+      bad.fetch_add(1);
+    } else {
+      std::memcpy(&seq, m.payload.data(), sizeof(seq));
+      const std::string_view body = m.payload.view().substr(sizeof(seq));
+      if (seq != next[source] ||
+          body.find_first_not_of(fill(source, seq)) != body.npos) {
+        bad.fetch_add(1);
+      }
+      next[source] = seq + 1;
+    }
+    if (received.fetch_add(1) % 100 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+  ASSERT_TRUE(pair.a->Start().ok());
+  ASSERT_TRUE(pair.b->Start().ok());
+
+  auto send_all = [&](uint32_t source) {
+    for (uint32_t seq = 0; seq < kFramesPerSource; ++seq) {
+      std::string payload(kFrameBytes, fill(source, seq));
+      std::memcpy(payload.data(), &seq, sizeof(seq));
+      Message m;
+      m.from = na;
+      m.to = nb;
+      m.type = kTypeBase + source;
+      m.payload = std::move(payload);
+      EXPECT_TRUE(pair.a->Send(std::move(m)).ok());
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  std::atomic<bool> strand_done{false};
+  std::thread first(send_all, 0);
+  std::thread second(send_all, 1);
+  pair.a->Post([&] {
+    send_all(2);
+    strand_done.store(true);
+  });
+  first.join();
+  second.join();
+
+  EXPECT_TRUE(WaitUntil([&] { return strand_done.load(); }, 30000));
+  EXPECT_TRUE(WaitUntil(
+      [&] { return received.load() == kSources * kFramesPerSource; }, 30000))
+      << "received " << received.load();
+  // Stop before the state the handlers touch goes out of scope.
+  pair.a->Stop();
+  pair.b->Stop();
+  EXPECT_EQ(bad.load(), 0u);
+  for (uint32_t s = 0; s < kSources; ++s) {
+    EXPECT_EQ(next[s], kFramesPerSource) << "source " << s;
+  }
+  EXPECT_EQ(pair.b->stats().messages_dropped, 0u);
+}
+
+TEST(SocketTransportTest, FramesStayInOrderAcrossInlineAndQueuedSends) {
+  {
+    SCOPED_TRACE("unix");
+    TempDir dir;
+    ExerciseOrderedSends(
+        PairConfig({"", 0, dir.sock("oa.sock")}, {"", 0, dir.sock("ob.sock")}));
+  }
+  SCOPED_TRACE("tcp");
+  const uint16_t pa = ReservePort();
+  const uint16_t pb = ReservePort();
+  ASSERT_NE(pa, 0);
+  ASSERT_NE(pb, 0);
+  ExerciseOrderedSends(
+      PairConfig({"127.0.0.1", pa, ""}, {"127.0.0.1", pb, ""}));
 }
 
 // ------------------------------------- replica fabric over real sockets
