@@ -13,6 +13,8 @@
 
 #include <memory>
 
+#include "common/rng.h"
+#include "net/network.h"
 #include "p2p/chord.h"
 
 namespace {
@@ -23,7 +25,6 @@ using namespace deluge::p2p;  // NOLINT
 struct Overlay {
   net::Simulator sim;
   std::unique_ptr<net::Network> net;
-  std::unique_ptr<net::SimTransport> transport;
   std::unique_ptr<ChordRing> ring;
   std::vector<RingId> peers;
 };
@@ -33,8 +34,7 @@ std::unique_ptr<Overlay> MakeOverlay(size_t n, Micros latency) {
   o->net = std::make_unique<net::Network>(&o->sim);
   o->net->default_link().latency = latency;
   o->net->default_link().bandwidth_bytes_per_sec = 0;
-  o->transport = std::make_unique<net::SimTransport>(o->net.get(), &o->sim);
-  o->ring = std::make_unique<ChordRing>(o->transport.get());
+  o->ring = std::make_unique<ChordRing>(o->net.get());
   for (size_t i = 0; i < n; ++i) {
     o->peers.push_back(o->ring->AddPeer("peer" + std::to_string(i)));
   }

@@ -37,7 +37,6 @@ constexpr Micros kTxnTimeout = 500 * kMicrosPerMilli;
 struct Cluster {
   net::Simulator sim;
   std::unique_ptr<net::Network> network;
-  std::unique_ptr<net::SimTransport> transport;
   std::vector<std::unique_ptr<ShardNode>> shards;
   std::unique_ptr<DistributedTxnSystem> system;
 };
@@ -45,15 +44,12 @@ struct Cluster {
 std::unique_ptr<Cluster> MakeCluster() {
   auto c = std::make_unique<Cluster>();
   c->network = std::make_unique<net::Network>(&c->sim);
-  c->transport =
-      std::make_unique<net::SimTransport>(c->network.get(), &c->sim);
   std::vector<ShardNode*> ptrs;
   for (size_t i = 0; i < kShards; ++i) {
-    c->shards.push_back(std::make_unique<ShardNode>(c->transport.get()));
+    c->shards.push_back(std::make_unique<ShardNode>(c->network.get()));
     ptrs.push_back(c->shards.back().get());
   }
-  c->system =
-      std::make_unique<DistributedTxnSystem>(c->transport.get(), ptrs);
+  c->system = std::make_unique<DistributedTxnSystem>(c->network.get(), ptrs);
   c->network->default_link().latency = 5 * kMicrosPerMilli;
   c->network->default_link().bandwidth_bytes_per_sec = 0;
   return c;
@@ -115,7 +111,7 @@ ScenarioResult RunChaosScenario() {
       {4 * kMicrosPerSecond, 5500 * kMicrosPerMilli, 1},
       {6500 * kMicrosPerMilli, 7 * kMicrosPerSecond, 2},
   };
-  chaos::FaultSchedule schedule(c->transport.get());
+  chaos::FaultSchedule schedule(c->network.get());
   schedule
       .PartitionWindow(windows[0].from, coord,
                        c->shards[1]->node_id(),
@@ -268,9 +264,8 @@ void BM_PubsubStalenessUnderFlaps(benchmark::State& state) {
     });
     net.default_link().latency = 5 * kMicrosPerMilli;
     net.default_link().bandwidth_bytes_per_sec = 0;
-    net::SimTransport transport(&net, &sim);
 
-    chaos::FaultSchedule schedule(&transport);
+    chaos::FaultSchedule schedule(&net);
     schedule.FlapLink(kMicrosPerSecond, pub, sub, 300 * kMicrosPerMilli)
         .FlapLink(3 * kMicrosPerSecond, pub, sub, 500 * kMicrosPerMilli);
     schedule.Arm();
@@ -279,7 +274,7 @@ void BM_PubsubStalenessUnderFlaps(benchmark::State& state) {
     policy.max_attempts = 10;
     policy.initial_backoff = 20 * kMicrosPerMilli;
     policy.max_backoff = 200 * kMicrosPerMilli;
-    pubsub::ReliableDeliverer deliverer(&transport, policy);
+    pubsub::ReliableDeliverer deliverer(&net, policy);
     deliverer.breaker_options().failure_threshold = 1000;  // retries only
 
     const int kEvents = int(5 * kMicrosPerSecond / (5 * kMicrosPerMilli));

@@ -310,9 +310,12 @@ void BM_ShardedDeterminism(benchmark::State& state) {
     stats_match = stats_match && a.physical_updates == b.physical_updates &&
                   a.mirrored_updates == b.mirrored_updates &&
                   a.suppressed_updates == b.suppressed_updates &&
+                  a.virtual_commands == b.virtual_commands &&
+                  a.relayed_commands == b.relayed_commands &&
                   a.events_published == b.events_published;
   }
   state.counters["stats_match"] = stats_match ? 1.0 : 0.0;
+  if (!stats_match) state.SkipWithError("sharded EngineStats diverged");
 }
 BENCHMARK(BM_ShardedDeterminism)->Unit(benchmark::kMillisecond);
 

@@ -153,8 +153,7 @@ void BM_WireFanout(benchmark::State& state) {
   }
   net.default_link().latency = 0;
   net.default_link().bandwidth_bytes_per_sec = 0;
-  net::SimTransport transport(&net, &sim);
-  pubsub::ReliableDeliverer deliverer(&transport);
+  pubsub::ReliableDeliverer deliverer(&net);
   pubsub::Event event = MakeSensorEvent();
 
   uint64_t allocs0 = g_allocs.load();

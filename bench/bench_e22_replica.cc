@@ -49,7 +49,6 @@ constexpr Micros kPartitionFor = 2 * kMicrosPerSecond;
 struct Cluster {
   net::Simulator sim;
   std::unique_ptr<net::Network> net;
-  std::unique_ptr<net::SimTransport> transport;
   std::unique_ptr<p2p::ChordRing> ring;
   std::unique_ptr<ReplicatedStore> store;
   std::vector<uint64_t> rings;
@@ -60,13 +59,12 @@ std::unique_ptr<Cluster> MakeCluster(int n, int r, int w) {
   c->net = std::make_unique<net::Network>(&c->sim);
   c->net->default_link().latency = 2 * kMicrosPerMilli;
   c->net->default_link().bandwidth_bytes_per_sec = 0;
-  c->transport = std::make_unique<net::SimTransport>(c->net.get(), &c->sim);
-  c->ring = std::make_unique<p2p::ChordRing>(c->transport.get());
+  c->ring = std::make_unique<p2p::ChordRing>(c->net.get());
   ReplicaOptions opts;
   opts.n = n;
   opts.r = r;
   opts.w = w;
-  c->store = std::make_unique<ReplicatedStore>(c->transport.get(),
+  c->store = std::make_unique<ReplicatedStore>(c->net.get(),
                                                c->ring.get(), opts);
   for (int i = 0; i < kReplicas; ++i) {
     c->rings.push_back(c->store->AddReplica("rep" + std::to_string(i)));
@@ -94,7 +92,7 @@ SweepResult RunQuorumSweep(int n, int r, int w) {
 
   // Faults never overlap: one replica crash, then a protocol-level
   // partition between the coordinator and another replica.
-  chaos::FaultSchedule schedule(c->transport.get());
+  chaos::FaultSchedule schedule(c->net.get());
   schedule
       .CrashNode(kCrashAt, c->store->node(c->rings[0])->node_id(), kCrashFor)
       .PartitionWindow(kPartitionAt, c->store->coordinator_node(),
@@ -241,9 +239,8 @@ void BM_AntiEntropyConvergence(benchmark::State& state) {
     c->net = std::make_unique<net::Network>(&c->sim);
     c->net->default_link().latency = 2 * kMicrosPerMilli;
     c->net->default_link().bandwidth_bytes_per_sec = 0;
-    c->transport = std::make_unique<net::SimTransport>(c->net.get(), &c->sim);
-    c->ring = std::make_unique<p2p::ChordRing>(c->transport.get());
-    c->store = std::make_unique<ReplicatedStore>(c->transport.get(),
+    c->ring = std::make_unique<p2p::ChordRing>(c->net.get());
+    c->store = std::make_unique<ReplicatedStore>(c->net.get(),
                                                  c->ring.get(), opts);
     for (int i = 0; i < 5; ++i) {
       c->rings.push_back(c->store->AddReplica("rep" + std::to_string(i)));
@@ -321,9 +318,8 @@ void BM_ReadRepair(benchmark::State& state) {
     c->net = std::make_unique<net::Network>(&c->sim);
     c->net->default_link().latency = 2 * kMicrosPerMilli;
     c->net->default_link().bandwidth_bytes_per_sec = 0;
-    c->transport = std::make_unique<net::SimTransport>(c->net.get(), &c->sim);
-    c->ring = std::make_unique<p2p::ChordRing>(c->transport.get());
-    c->store = std::make_unique<ReplicatedStore>(c->transport.get(),
+    c->ring = std::make_unique<p2p::ChordRing>(c->net.get());
+    c->store = std::make_unique<ReplicatedStore>(c->net.get(),
                                                  c->ring.get(), opts);
     for (int i = 0; i < 5; ++i) {
       c->rings.push_back(c->store->AddReplica("rep" + std::to_string(i)));

@@ -193,8 +193,7 @@ QuorumResult RunQuorumSim() {
   net::Network net(&sim);
   net.default_link().latency = 2 * kMicrosPerMilli;
   net.default_link().bandwidth_bytes_per_sec = 0;
-  net::SimTransport transport(&net, &sim);
-  ReplicatedStore store(&transport, /*ring=*/nullptr, QuorumOptions());
+  ReplicatedStore store(&net, /*ring=*/nullptr, QuorumOptions());
   std::vector<uint64_t> rings;
   for (int i = 0; i < kReplicas; ++i) {
     rings.push_back(store.AddReplica(ReplicaName(i)));
@@ -443,13 +442,11 @@ FanoutResult RunFanoutSim() {
   net::Network net(&sim);
   net.default_link().latency = 500;
   net.default_link().bandwidth_bytes_per_sec = 0;
-  net::SimTransport transport(&net, &sim);
   FanoutResult out;
-  net::NodeId driver = transport.AddNode([](const net::Message&) {});
+  net::NodeId driver = net.AddNode([](const net::Message&) {});
   std::vector<net::NodeId> sinks;
   for (int i = 0; i < kSinks; ++i) {
-    sinks.push_back(
-        transport.AddNode([&](const net::Message&) { ++out.delivered; }));
+    sinks.push_back(net.AddNode([&](const net::Message&) { ++out.delivered; }));
   }
   const std::string payload(kFanPayload, 'e');
   for (int round = 0; round < kFanPerSink; ++round) {
@@ -459,7 +456,7 @@ FanoutResult RunFanoutSim() {
       m.to = sink;
       m.type = 1;
       m.payload = payload;
-      if (transport.Send(std::move(m)).ok()) ++out.sent;
+      if (net.Send(std::move(m)).ok()) ++out.sent;
     }
   }
   sim.Run();

@@ -23,7 +23,6 @@ using namespace deluge::txn;  // NOLINT
 struct Cluster {
   net::Simulator sim;
   std::unique_ptr<net::Network> network;
-  std::unique_ptr<net::SimTransport> transport;
   std::vector<std::unique_ptr<ShardNode>> shards;
   std::unique_ptr<DistributedTxnSystem> system;
 };
@@ -31,16 +30,13 @@ struct Cluster {
 std::unique_ptr<Cluster> MakeCluster(size_t num_dcs, Micros inter_dc_rtt) {
   auto c = std::make_unique<Cluster>();
   c->network = std::make_unique<net::Network>(&c->sim);
-  c->transport =
-      std::make_unique<net::SimTransport>(c->network.get(), &c->sim);
   // One shard per DC; the coordinator lives in DC 0.
   std::vector<ShardNode*> ptrs;
   for (size_t i = 0; i < num_dcs; ++i) {
-    c->shards.push_back(std::make_unique<ShardNode>(c->transport.get()));
+    c->shards.push_back(std::make_unique<ShardNode>(c->network.get()));
     ptrs.push_back(c->shards.back().get());
   }
-  c->system =
-      std::make_unique<DistributedTxnSystem>(c->transport.get(), ptrs);
+  c->system = std::make_unique<DistributedTxnSystem>(c->network.get(), ptrs);
   // Coordinator <-> shard 0 is local; others are inter-DC.
   net::LinkOptions local = net::LinkPresets::IntraDc();
   net::LinkOptions wan = net::LinkPresets::InterDc(inter_dc_rtt / 2);

@@ -98,7 +98,7 @@ void BM_FlashSaleElasticity(benchmark::State& state) {
   double executor_seconds = 0;
   for (auto _ : state) {
     net::Simulator sim;
-    ElasticOptions opts;
+    ElasticExecutorPoolOptions opts;
     opts.min_executors = 4;
     opts.max_executors = elastic ? 64 : 4;
     opts.scale_out_delay = 200 * kMicrosPerMilli;

@@ -47,8 +47,9 @@ inline std::string JsonEscape(const std::string& s) {
 
 /// Appends `{"bench": ..., "metric": ..., "value": ...}` lines — one
 /// per user counter plus the per-iteration real time — for every
-/// finished benchmark run.  Plugged into `RunSpecifiedBenchmarks` as
-/// the file reporter alongside the default console reporter.
+/// finished benchmark run, and remembers whether any run reported an
+/// error.  Plugged into `RunSpecifiedBenchmarks` as the file reporter
+/// alongside the default console reporter.
 class JsonLinesReporter : public benchmark::BenchmarkReporter {
  public:
   explicit JsonLinesReporter(const std::string& path)
@@ -58,7 +59,10 @@ class JsonLinesReporter : public benchmark::BenchmarkReporter {
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.error_occurred) continue;
+      if (run.error_occurred) {
+        errored_ = true;
+        continue;
+      }
       const std::string name = JsonEscape(run.benchmark_name());
       double iters = run.iterations > 0 ? double(run.iterations) : 1.0;
       Emit(name, "real_time_s_per_iter", run.real_accumulated_time / iters);
@@ -69,6 +73,9 @@ class JsonLinesReporter : public benchmark::BenchmarkReporter {
     out_.flush();
   }
 
+  /// True once any run called `SkipWithError` (a failed oracle).
+  bool errored() const { return errored_; }
+
  private:
   void Emit(const std::string& bench, const std::string& metric,
             double value) {
@@ -77,6 +84,7 @@ class JsonLinesReporter : public benchmark::BenchmarkReporter {
   }
 
   std::ofstream out_;
+  bool errored_ = false;
 };
 
 /// Forwards every callback to the default console reporter and the
@@ -171,7 +179,8 @@ inline std::string BinaryName(const char* argv0) {
 }  // namespace deluge::bench
 
 /// BENCHMARK_MAIN plus the JSONL file reporter, registry dump, and the
-/// optional trace dump.
+/// optional trace dump.  Exits 1 when any run reported an error, so a
+/// bench oracle that calls `SkipWithError` fails its CI step.
 #define DELUGE_BENCH_MAIN()                                                  \
   int main(int argc, char** argv) {                                          \
     std::string binary = ::deluge::bench::BinaryName(argc > 0 ? argv[0]      \
@@ -187,7 +196,7 @@ inline std::string BinaryName(const char* argv0) {
     ::deluge::bench::DumpRegistry(::deluge::bench::ResultsPath(), binary);   \
     ::deluge::bench::MaybeDumpTraces();                                      \
     ::benchmark::Shutdown();                                                 \
-    return 0;                                                                \
+    return json.errored() ? 1 : 0;                                           \
   }                                                                          \
   int main(int, char**)
 

@@ -14,8 +14,10 @@
 #include <cstdio>
 #include <memory>
 
+#include "common/rng.h"
 #include "index/moving_index.h"
 #include "ledger/ledger.h"
+#include "net/network.h"
 #include "p2p/chord.h"
 #include "query/moving_query.h"
 
@@ -68,8 +70,7 @@ int main() {
   net::Simulator sim;
   net::Network net(&sim);
   net.default_link() = net::LinkOptions{};  // defaults: 1 ms, 1 Gbps
-  net::SimTransport transport(&net, &sim);
-  p2p::ChordRing overlay(&transport);
+  p2p::ChordRing overlay(&net);
   std::vector<p2p::RingId> guild_nodes;
   for (int i = 0; i < 32; ++i) {
     guild_nodes.push_back(overlay.AddPeer("guild-node-" + std::to_string(i)));

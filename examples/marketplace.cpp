@@ -61,14 +61,13 @@ int main() {
   }
 
   // ---- Inventory lives in a sharded transactional store. ---------------
-  net::SimTransport transport(network.get(), &sim);
   std::vector<std::unique_ptr<txn::ShardNode>> shards;
   std::vector<txn::ShardNode*> shard_ptrs;
   for (int i = 0; i < 2; ++i) {
-    shards.push_back(std::make_unique<txn::ShardNode>(&transport));
+    shards.push_back(std::make_unique<txn::ShardNode>(network.get()));
     shard_ptrs.push_back(shards.back().get());
   }
-  txn::DistributedTxnSystem store(&transport, shard_ptrs);
+  txn::DistributedTxnSystem store(network.get(), shard_ptrs);
   network->default_link() = net::LinkPresets::IntraDc();
 
   // Stock the pastry shelf: 10 croissants left.

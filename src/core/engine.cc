@@ -51,20 +51,15 @@ pubsub::Event MakeMirrorPositionEvent(EntityId id, const geo::Vec3& pos,
   return event;
 }
 
-CoSpaceEngine::CoSpaceEngine(EngineOptions options, Clock* clock)
-    : options_(options),
-      clock_(clock != nullptr ? clock : SystemClock::Default()),
-      physical_(stream::Space::kPhysical, options.world_bounds),
+CoSpaceEngine::CoSpaceEngine(EngineOptions options, Clock* /*clock*/,
+                             obs::Labels labels)
+    : physical_(stream::Space::kPhysical, options.world_bounds),
       virtual_(stream::Space::kVirtual, options.world_bounds),
-      coherency_(options.default_contract) {
+      coherency_(options.default_contract),
+      obs_("engine", labels) {
+  // Every watch brings its own callback (see WatchRegion).
   broker_ = std::make_unique<pubsub::Broker>(
-      options.world_bounds, options.broker_cell,
-      [this](net::NodeId subscriber, const pubsub::Event& event) {
-        // Dispatch to the watcher registered for this subscriber id.
-        for (auto& [node, deliver] : watchers_) {
-          if (node == subscriber && deliver) deliver(subscriber, event);
-        }
-      });
+      options.world_bounds, options.broker_cell, nullptr, std::move(labels));
 }
 
 void CoSpaceEngine::SpawnPhysical(const Entity& entity) {
@@ -91,6 +86,14 @@ void CoSpaceEngine::SetContract(EntityId id,
 bool CoSpaceEngine::IngestPhysicalPosition(EntityId id, const geo::Vec3& pos,
                                            Micros t, QosClass qos) {
   obs::Span span("ingest.position");
+  if (!ApplyPhysicalPosition(id, pos, t, qos)) return false;
+  // Tell interested cyber users.
+  broker_->Publish(MakeMirrorPositionEvent(id, pos, t, qos));
+  return true;
+}
+
+bool CoSpaceEngine::ApplyPhysicalPosition(EntityId id, const geo::Vec3& pos,
+                                          Micros t, QosClass qos) {
   c_.physical_updates->Add(1);
   // The physical space always tracks ground truth.
   physical_.Move(id, pos, t);
@@ -101,10 +104,7 @@ bool CoSpaceEngine::IngestPhysicalPosition(EntityId id, const geo::Vec3& pos,
   }
   c_.mirrored_updates->Add(1);
   virtual_.Move(id, pos, t);
-
-  // Tell interested cyber users.
   c_.events_published->Add(1);
-  broker_->Publish(MakeMirrorPositionEvent(id, pos, t, qos));
   return true;
 }
 
@@ -135,11 +135,15 @@ Status CoSpaceEngine::IngestPhysicalAttribute(EntityId id,
 
 size_t CoSpaceEngine::IssueVirtualCommand(const geo::AABB& region,
                                           const stream::Tuple& command) {
-  c_.virtual_commands->Add(1);
   // Affected entities are resolved against the VIRTUAL model — the
   // commander acts on what the virtual world shows (Fig. 1's
   // virtual->physical arrow), which is only coherency-bound accurate.
-  auto affected = virtual_.Range(region);
+  return RelayVirtualCommand(virtual_.Range(region), command);
+}
+
+size_t CoSpaceEngine::RelayVirtualCommand(
+    std::span<const Entity* const> affected, const stream::Tuple& command) {
+  c_.virtual_commands->Add(1);
   size_t relayed = 0;
   for (const Entity* e : affected) {
     if (e->origin != stream::Space::kPhysical) continue;  // pure-virtual
@@ -159,11 +163,31 @@ void CoSpaceEngine::OnPhysicalCommand(CommandHandler handler) {
 uint64_t CoSpaceEngine::WatchRegion(net::NodeId subscriber,
                                     const geo::AABB& region,
                                     pubsub::Broker::Deliver deliver) {
-  watchers_.emplace_back(subscriber, std::move(deliver));
   pubsub::Subscription sub;
   sub.subscriber = subscriber;
   sub.region = region;
+  sub.deliver = std::make_shared<const pubsub::Broker::Deliver>(
+      std::move(deliver));
   return broker_->Subscribe(std::move(sub));
+}
+
+bool CoSpaceEngine::Unwatch(uint64_t watch_id) {
+  return broker_->Unsubscribe(watch_id);
+}
+
+void CoSpaceEngine::MigrateEntity(EntityId id, CoSpaceEngine& to) {
+  if (const Entity* e = physical_.Get(id)) {
+    to.physical_.Upsert(*e);  // copies before the erase below
+    physical_.Remove(id);
+  }
+  if (const Entity* e = virtual_.Get(id)) {
+    to.virtual_.Upsert(*e);
+    virtual_.Remove(id);
+  }
+  consistency::MirrorState state;
+  if (coherency_.ExtractEntity(id, &state)) {
+    to.coherency_.RestoreEntity(id, state);
+  }
 }
 
 }  // namespace deluge::core

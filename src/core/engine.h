@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,8 +15,8 @@
 namespace deluge::core {
 
 /// Builds the "mirror.position" event a mirror refresh publishes.
-/// Shared by `CoSpaceEngine` and `ParallelEngine` so the sharded
-/// pipeline emits a byte-identical event stream.  The event carries the
+/// Shared by `CoSpaceEngine` and `ParallelEngine`, which publishes it on
+/// the shard owning the event's position.  The event carries the
 /// ingest's QoS class end-to-end (event, payload tuple, published_at =
 /// ingest time) so downstream hops shed/schedule/account by class.
 pubsub::Event MakeMirrorPositionEvent(EntityId id, const geo::Vec3& pos,
@@ -51,18 +52,29 @@ struct EngineStats {
 /// cyber users (interest regions, topics) learn about them.  Actions
 /// taken in the virtual space flow the other way through
 /// `IssueVirtualCommand`, reaching physical-side handlers — the
-/// air-raid-kills-the-troops loop of the military scenario.
+/// air-raid-kills-the-troops loop of the military scenario.  Each
+/// `ParallelEngine` shard is one `CoSpaceEngine`.
 class CoSpaceEngine {
  public:
   /// Delivery callback for physical-side command handlers.
   using CommandHandler =
       std::function<void(EntityId target, const stream::Tuple& command)>;
 
-  explicit CoSpaceEngine(EngineOptions options, Clock* clock = nullptr);
+  /// `labels` tag this engine's and its broker's registry metrics (a
+  /// `ParallelEngine` shard passes {shard=<index>}).  `clock` is not
+  /// read; it stays for the callers that pass one.
+  explicit CoSpaceEngine(EngineOptions options, Clock* clock = nullptr,
+                         obs::Labels labels = {});
 
   WorldSpace& physical() { return physical_; }
   WorldSpace& virtual_space() { return virtual_; }
+  /// Watches are subscriptions with their own callback.  A subscription
+  /// added here without one is matched and counted but delivered to
+  /// nobody.
   pubsub::Broker& broker() { return *broker_; }
+  /// This engine's metric scope ("engine.*" with its labels), for
+  /// metrics filed beside the engine's own.
+  obs::StatsScope& stats_scope() { return obs_; }
 
   /// Registers an entity in the physical space and (immediately) its
   /// virtual mirror.
@@ -74,13 +86,20 @@ class CoSpaceEngine {
   /// Installs a per-entity coherency contract for mirroring.
   void SetContract(EntityId id, const consistency::CoherencyContract& c);
 
-  /// Ingests a sensed physical position (the sensor->engine arrow).
-  /// Updates the physical space always; refreshes the virtual mirror
-  /// only when the coherency contract demands it.  Returns true when
-  /// the mirror was refreshed.  `qos` rides the published event and
-  /// labels the coherency hop metrics.
+  /// Ingests a sensed physical position (the sensor->engine arrow):
+  /// `ApplyPhysicalPosition`, then publishes the mirror refresh, if any,
+  /// on this engine's broker.  Returns true when the mirror was
+  /// refreshed.  `qos` rides the published event and labels the
+  /// coherency hop metrics.
   bool IngestPhysicalPosition(EntityId id, const geo::Vec3& pos, Micros t,
                               QosClass qos = QosClass::kRealtime);
+
+  /// The Fig. 1 step short of the publish: moves the physical entity,
+  /// offers the position to the coherency contract and, if it demands a
+  /// refresh, moves the mirror and returns true.  The caller publishes
+  /// `MakeMirrorPositionEvent`, already counted in `events_published`.
+  bool ApplyPhysicalPosition(EntityId id, const geo::Vec3& pos, Micros t,
+                             QosClass qos);
 
   /// Ingests a sensed attribute (always mirrored — attributes are
   /// low-rate; positions are the firehose).
@@ -96,13 +115,31 @@ class CoSpaceEngine {
   size_t IssueVirtualCommand(const geo::AABB& region,
                              const stream::Tuple& command);
 
+  /// The relay half of `IssueVirtualCommand` for entities resolved
+  /// elsewhere (across `ParallelEngine` shards): counts one command and
+  /// relays it per physical entity.  Returns `affected.size()`.
+  size_t RelayVirtualCommand(std::span<const Entity* const> affected,
+                             const stream::Tuple& command);
+
   /// Registers the physical-side command channel (ground relays).
   void OnPhysicalCommand(CommandHandler handler);
 
   /// Subscribes a cyber user to mirror updates inside `region`;
-  /// returns the subscription id.
+  /// returns the watch id (its broker subscription id).  `deliver`
+  /// receives exactly the events this watch matched, with `subscriber`
+  /// as their addressee, however many watches the same subscriber holds.
   uint64_t WatchRegion(net::NodeId subscriber, const geo::AABB& region,
                        pubsub::Broker::Deliver deliver);
+
+  /// Removes a watch registered via `WatchRegion`; false when unknown.
+  /// It matches nothing afterwards, but matches a queued broker already
+  /// holds still reach its callback at `Drain`, as the broker counted.
+  bool Unwatch(uint64_t watch_id);
+
+  /// Moves entity `id` — its entries in both spaces and its coherency
+  /// mirror state — into `to`, so `to` decides its next refresh exactly
+  /// as this engine would have (an elastic shard handoff).
+  void MigrateEntity(EntityId id, CoSpaceEngine& to);
 
   /// Registry-backed snapshot, refreshed on every call.
   const EngineStats& stats() const;
@@ -112,7 +149,7 @@ class CoSpaceEngine {
 
  private:
   /// Registry handles for `EngineStats` (metrics "engine.*", labelled
-  /// {subsystem=engine, instance=<id>} + `extra_labels`).
+  /// {subsystem=engine, instance=<id>} + the engine's labels).
   struct EngineCounters {
     EngineCounters(obs::StatsScope& scope);
     obs::Counter* physical_updates;
@@ -124,17 +161,13 @@ class CoSpaceEngine {
 
     void Fill(EngineStats* out) const;
   };
-  friend class ParallelEngine;  // shards reuse EngineCounters
 
-  EngineOptions options_;
-  Clock* clock_;
   WorldSpace physical_;
   WorldSpace virtual_;
   consistency::CoherencyFilter coherency_;
   std::unique_ptr<pubsub::Broker> broker_;
   std::vector<CommandHandler> command_handlers_;
-  std::vector<std::pair<uint64_t, pubsub::Broker::Deliver>> watchers_;
-  obs::StatsScope obs_{"engine"};
+  obs::StatsScope obs_;
   EngineCounters c_{obs_};
   mutable EngineStats snapshot_;
 };

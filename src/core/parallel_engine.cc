@@ -136,43 +136,25 @@ std::vector<uint32_t> SpatialSharder::BalancedAssignment(
 // ---------------------------------------------------------- ParallelEngine
 
 ParallelEngine::Shard::Shard(const EngineOptions& opts, size_t num_shards,
-                             size_t index, size_t tile_code_limit,
-                             pubsub::Broker::Deliver deliver)
-    : physical(stream::Space::kPhysical, opts.world_bounds),
-      virtual_space(stream::Space::kVirtual, opts.world_bounds),
-      coherency(opts.default_contract),
-      broker(std::make_unique<pubsub::Broker>(
-          opts.world_bounds, opts.broker_cell, std::move(deliver),
-          obs::Labels{{"shard", std::to_string(index)}})),
-      obs("engine", obs::Labels{{"shard", std::to_string(index)}}),
-      c(obs),
+                             size_t index, size_t tile_code_limit)
+    : engine(opts, nullptr, {{"shard", std::to_string(index)}}),
       outbox(num_shards),
       tile_load(tile_code_limit, 0.0) {
   for (QosClass q : kAllQosClasses) {
     ingest_ns[uint8_t(q)] =
-        obs.histogram("ingest_ns", {{"qos", QosClassName(q)}});
+        engine.stats_scope().histogram("ingest_ns", {{"qos", QosClassName(q)}});
   }
 }
 
 ParallelEngine::ParallelEngine(ParallelEngineOptions options,
-                               ThreadPool* pool, Clock* clock)
+                               ThreadPool* pool, Clock* /*clock*/)
     : options_(options),
-      clock_(clock != nullptr ? clock : SystemClock::Default()),
       pool_(pool),
       sharder_(options.engine.world_bounds,
-               options.shard_cell > 0
-                   ? options.shard_cell
-                   : (options.engine.world_bounds.max.x -
-                      options.engine.world_bounds.min.x) /
-                         (8.0 * double(std::max<size_t>(1,
-                                                        options.num_shards))),
+               (options.engine.world_bounds.max.x -
+                options.engine.world_bounds.min.x) /
+                   (8.0 * double(std::max<size_t>(1, options.num_shards))),
                options.num_shards) {
-  // An out-of-range (or NaN) smoothing factor would stall or explode
-  // the EWMA; fall back to the default rather than propagate it.
-  if (!(options_.elastic.ewma_alpha > 0.0 &&
-        options_.elastic.ewma_alpha <= 1.0)) {
-    options_.elastic.ewma_alpha = ElasticOptions{}.ewma_alpha;
-  }
   const size_t n = sharder_.num_shards();
   const size_t accounting_tiles =
       options_.elastic.enabled ? sharder_.tile_code_limit() : 0;
@@ -180,14 +162,8 @@ ParallelEngine::ParallelEngine(ParallelEngineOptions options,
   tile_batch_.assign(accounting_tiles, 0.0);
   shards_.reserve(n);
   for (size_t s = 0; s < n; ++s) {
-    shards_.push_back(std::make_unique<Shard>(
-        options_.engine, n, s, accounting_tiles,
-        [this](net::NodeId subscriber, const pubsub::Event& event) {
-          // Dispatch to the watcher registered for this subscriber id.
-          for (auto& [node, deliver] : watchers_) {
-            if (node == subscriber && deliver) deliver(subscriber, event);
-          }
-        }));
+    shards_.push_back(
+        std::make_unique<Shard>(options_.engine, n, s, accounting_tiles));
   }
 }
 
@@ -200,26 +176,19 @@ size_t ParallelEngine::HomeOf(EntityId id,
   return sharder_.ShardOf(fallback_pos);
 }
 
-void ParallelEngine::SpawnPhysical(const Entity& entity) {
-  uint32_t tile = sharder_.TileCodeOf(entity.position);
-  uint32_t s = uint32_t(sharder_.assignment()[tile]);
+CoSpaceEngine& ParallelEngine::AssignHome(const Entity& entity) {
+  const uint32_t tile = sharder_.TileCodeOf(entity.position);
+  const uint32_t s = sharder_.assignment()[tile];
   home_[entity.id] = HomeRef{s, tile};
-  Shard& shard = *shards_[s];
-  Entity phys = entity;
-  phys.origin = stream::Space::kPhysical;
-  shard.physical.Upsert(phys);
-  // Mirror immediately so the virtual model starts complete.
-  shard.virtual_space.Upsert(phys);
-  shard.coherency.Offer(entity.id, entity.position, entity.updated_at);
+  return shards_[s]->engine;
+}
+
+void ParallelEngine::SpawnPhysical(const Entity& entity) {
+  AssignHome(entity).SpawnPhysical(entity);
 }
 
 void ParallelEngine::SpawnVirtual(const Entity& entity) {
-  uint32_t tile = sharder_.TileCodeOf(entity.position);
-  uint32_t s = uint32_t(sharder_.assignment()[tile]);
-  home_[entity.id] = HomeRef{s, tile};
-  Entity virt = entity;
-  virt.origin = stream::Space::kVirtual;
-  shards_[s]->virtual_space.Upsert(virt);
+  AssignHome(entity).SpawnVirtual(entity);
 }
 
 void ParallelEngine::SetContract(EntityId id,
@@ -227,40 +196,47 @@ void ParallelEngine::SetContract(EntityId id,
   // Installed everywhere: only the home shard consults it, this keeps
   // SetContract valid before the entity spawns — and migration never
   // has to move contracts, only per-entity mirror state.
-  for (auto& shard : shards_) shard->coherency.SetContract(id, c);
+  for (auto& shard : shards_) shard->engine.SetContract(id, c);
 }
 
 uint64_t ParallelEngine::WatchRegion(net::NodeId subscriber,
                                      const geo::AABB& region,
                                      pubsub::Broker::Deliver deliver) {
-  watchers_.emplace_back(subscriber, std::move(deliver));
   uint64_t id = next_watch_id_++;
   Watch& watch = watches_[id];
   watch.subscriber = subscriber;
   watch.region = region;
+  watch.deliver =
+      std::make_shared<const pubsub::Broker::Deliver>(std::move(deliver));
   SpatialSharder::ShardList cover;
   sharder_.ShardsCovering(region, &cover);
-  for (size_t s : cover) {
-    pubsub::Subscription sub;
-    sub.subscriber = subscriber;
-    sub.region = region;
-    watch.legs.emplace_back(s, shards_[s]->broker->Subscribe(std::move(sub)));
-  }
+  for (size_t s : cover) AddLeg(watch, s);
   return id;
+}
+
+void ParallelEngine::AddLeg(Watch& watch, size_t s) {
+  watch.legs.emplace_back(
+      s, shards_[s]->engine.WatchRegion(
+             watch.subscriber, watch.region,
+             [deliver = watch.deliver](net::NodeId subscriber,
+                                       const pubsub::Event& event) {
+               if (*deliver) (*deliver)(subscriber, event);
+             }));
 }
 
 bool ParallelEngine::Unwatch(uint64_t watch_id) {
   auto it = watches_.find(watch_id);
   if (it == watches_.end()) return false;
-  for (auto& [shard, sub_id] : it->second.legs) {
-    shards_[shard]->broker->Unsubscribe(sub_id);
+  for (auto& [shard, leg] : it->second.legs) {
+    shards_[shard]->engine.Unwatch(leg);
   }
   watches_.erase(it);
   return true;
 }
 
 void ParallelEngine::OnPhysicalCommand(CoSpaceEngine::CommandHandler handler) {
-  command_handlers_.push_back(std::move(handler));
+  // Shard 0's engine relays every command (see IssueVirtualCommand).
+  shards_[0]->engine.OnPhysicalCommand(std::move(handler));
 }
 
 void ParallelEngine::ChargeTile(Shard& shard, uint32_t tile, double amount) {
@@ -271,7 +247,6 @@ void ParallelEngine::ChargeTile(Shard& shard, uint32_t tile, double amount) {
 }
 
 bool ParallelEngine::IngestOnShard(Shard& shard, const SensedUpdate& u) {
-  shard.c.physical_updates->Add(1);
   const uint32_t pos_tile = sharder_.TileCodeOf(u.position);
   if (options_.elastic.enabled) {
     // Ingest cost lands on the update's position tile — where the
@@ -280,17 +255,9 @@ bool ParallelEngine::IngestOnShard(Shard& shard, const SensedUpdate& u) {
     // tile_load array is race-free for any tile.
     ChargeTile(shard, pos_tile, 1.0);
   }
-  // The physical space always tracks ground truth.
-  shard.physical.Move(u.id, u.position, u.t);
-
-  if (!shard.coherency.Offer(u.id, u.position, u.t, /*bytes=*/64, u.qos)) {
-    shard.c.suppressed_updates->Add(1);
+  if (!shard.engine.ApplyPhysicalPosition(u.id, u.position, u.t, u.qos)) {
     return false;
   }
-  shard.c.mirrored_updates->Add(1);
-  shard.virtual_space.Move(u.id, u.position, u.t);
-
-  shard.c.events_published->Add(1);
   pubsub::Event event = MakeMirrorPositionEvent(u.id, u.position, u.t, u.qos);
   if (shards_.size() == 1) {
     // Nothing to exchange between shards: publish now, so the refresh
@@ -306,13 +273,12 @@ bool ParallelEngine::IngestOnShard(Shard& shard, const SensedUpdate& u) {
 }
 
 void ParallelEngine::PublishOnShard(Shard& dest, const pubsub::Event& event) {
-  const size_t deliveries = dest.broker->Publish(event);
+  const size_t deliveries = dest.engine.broker().Publish(event);
   if (options_.elastic.enabled && deliveries > 0 &&
       event.position.has_value()) {
     // Fan-out cost lands on the event's position tile, which this
     // destination shard owns (events are position-routed).
-    ChargeTile(dest, sharder_.TileCodeOf(*event.position),
-               options_.elastic.fanout_weight * double(deliveries));
+    ChargeTile(dest, sharder_.TileCodeOf(*event.position), double(deliveries));
   }
 }
 
@@ -403,7 +369,6 @@ size_t ParallelEngine::Flush() {
 }
 
 void ParallelEngine::FoldTileLoadsLocked() {
-  const double alpha = options_.elastic.ewma_alpha;
   for (auto& shard : shards_) {
     for (uint32_t t : shard->touched) {
       tile_batch_[t] += shard->tile_load[t];
@@ -413,7 +378,8 @@ void ParallelEngine::FoldTileLoadsLocked() {
   }
   const size_t limit = tile_batch_.size();
   for (size_t t = 0; t < limit; ++t) {
-    tile_ewma_[t] = (1.0 - alpha) * tile_ewma_[t] + alpha * tile_batch_[t];
+    tile_ewma_[t] = (1.0 - kLoadEwmaAlpha) * tile_ewma_[t] +
+                    kLoadEwmaAlpha * tile_batch_[t];
     tile_batch_[t] = 0.0;
   }
 }
@@ -506,13 +472,13 @@ bool ParallelEngine::RebalanceLocked() {
   // never migrated.
   uint64_t moved = 0;
   for (auto& [id, home] : home_) {
-    Shard& owner = *shards_[home.shard];
-    const Entity* e = owner.physical.Get(id);
-    if (e == nullptr) e = owner.virtual_space.Get(id);
+    CoSpaceEngine& owner = shards_[home.shard]->engine;
+    const Entity* e = owner.physical().Get(id);
+    if (e == nullptr) e = owner.virtual_space().Get(id);
     if (e != nullptr) home.tile = sharder_.TileCodeOf(e->position);
     uint32_t dst = sharder_.assignment()[home.tile];
     if (dst == home.shard) continue;
-    MigrateEntity(id, owner, *shards_[dst]);
+    owner.MigrateEntity(id, shards_[dst]->engine);
     home.shard = dst;
     ++moved;
   }
@@ -548,34 +514,27 @@ bool ParallelEngine::RebalanceLocked() {
   // Regional watch legs follow the tiles covering their region: drop
   // legs on shards that no longer own any overlapping tile, subscribe
   // on shards that now do.  Done before the next publish, so delivery
-  // stays exact across the swap.
+  // stays exact across the swap; what a dropped leg already matched
+  // into a queued broker holds the watch's callback and still arrives.
   SpatialSharder::ShardList cover;
   for (auto& [wid, watch] : watches_) {
     sharder_.ShardsCovering(watch.region, &cover);
     size_t kept = 0;
-    for (auto& [shard, sub_id] : watch.legs) {
+    for (auto& [shard, leg] : watch.legs) {
       if (std::find(cover.begin(), cover.end(), shard) != cover.end()) {
-        watch.legs[kept++] = {shard, sub_id};
+        watch.legs[kept++] = {shard, leg};
       } else {
-        shards_[shard]->broker->Unsubscribe(sub_id);
+        shards_[shard]->engine.Unwatch(leg);
         watch_legs_removed_->Add(1);
       }
     }
     watch.legs.resize(kept);
     for (size_t s : cover) {
-      bool present = false;
-      for (const auto& [shard, sub_id] : watch.legs) {
-        if (shard == s) {
-          present = true;
-          break;
-        }
+      if (std::any_of(watch.legs.begin(), watch.legs.end(),
+                      [s](const auto& leg) { return leg.first == s; })) {
+        continue;
       }
-      if (present) continue;
-      pubsub::Subscription sub;
-      sub.subscriber = watch.subscriber;
-      sub.region = watch.region;
-      watch.legs.emplace_back(s,
-                              shards_[s]->broker->Subscribe(std::move(sub)));
+      AddLeg(watch, s);
       watch_legs_added_->Add(1);
     }
   }
@@ -585,21 +544,6 @@ bool ParallelEngine::RebalanceLocked() {
   entities_migrated_->Add(moved);
   staged_moved_->Add(staged_moved);
   return true;
-}
-
-void ParallelEngine::MigrateEntity(EntityId id, Shard& from, Shard& to) {
-  if (const Entity* e = from.physical.Get(id)) {
-    to.physical.Upsert(*e);  // copies before the erase below
-    from.physical.Remove(id);
-  }
-  if (const Entity* e = from.virtual_space.Get(id)) {
-    to.virtual_space.Upsert(*e);
-    from.virtual_space.Remove(id);
-  }
-  consistency::MirrorState state;
-  if (from.coherency.ExtractEntity(id, &state)) {
-    to.coherency.RestoreEntity(id, state);
-  }
 }
 
 bool ParallelEngine::Rebalance() {
@@ -627,41 +571,33 @@ double ParallelEngine::LoadImbalance() const {
 size_t ParallelEngine::IssueVirtualCommand(const geo::AABB& region,
                                            const stream::Tuple& command) {
   std::lock_guard<std::mutex> lock(pipeline_mu_);
-  shards_[0]->c.virtual_commands->Add(1);
   // Affected entities are resolved against the VIRTUAL model, across
   // every shard in parallel (an entity may have roamed anywhere).
   const size_t n = shards_.size();
   std::vector<std::vector<const Entity*>> affected(n);
   ParallelFor(pool_, n, [&](size_t s) {
-    affected[s] = shards_[s]->virtual_space.Range(region);
+    affected[s] = shards_[s]->engine.virtual_space().Range(region);
   });
-  // Relay serially in shard order: handlers need not be thread-safe
-  // and the relay order stays deterministic.
-  size_t total = 0, relayed = 0;
-  for (size_t s = 0; s < n; ++s) {
-    total += affected[s].size();
-    for (const Entity* e : affected[s]) {
-      if (e->origin != stream::Space::kPhysical) continue;  // pure-virtual
-      for (const auto& handler : command_handlers_) {
-        handler(e->id, command);
-        ++relayed;
-      }
-    }
+  // Relay serially in shard order, from shard 0's engine: handlers need
+  // not be thread-safe and the relay order stays deterministic.
+  for (size_t s = 1; s < n; ++s) {
+    affected[0].insert(affected[0].end(), affected[s].begin(),
+                       affected[s].end());
   }
-  shards_[0]->c.relayed_commands->Add(relayed);
-  return total;
+  return shards_[0]->engine.RelayVirtualCommand(affected[0], command);
 }
 
 EngineStats ParallelEngine::TotalStats() const {
   std::lock_guard<std::mutex> lock(pipeline_mu_);
   EngineStats total;
   for (const auto& shard : shards_) {
-    total.physical_updates += shard->c.physical_updates->Value();
-    total.mirrored_updates += shard->c.mirrored_updates->Value();
-    total.suppressed_updates += shard->c.suppressed_updates->Value();
-    total.virtual_commands += shard->c.virtual_commands->Value();
-    total.relayed_commands += shard->c.relayed_commands->Value();
-    total.events_published += shard->c.events_published->Value();
+    const EngineStats& s = shard->engine.stats();
+    total.physical_updates += s.physical_updates;
+    total.mirrored_updates += s.mirrored_updates;
+    total.suppressed_updates += s.suppressed_updates;
+    total.virtual_commands += s.virtual_commands;
+    total.relayed_commands += s.relayed_commands;
+    total.events_published += s.events_published;
   }
   return total;
 }
@@ -670,7 +606,7 @@ consistency::CoherencyStats ParallelEngine::TotalCoherencyStats() const {
   std::lock_guard<std::mutex> lock(pipeline_mu_);
   consistency::CoherencyStats total;
   for (const auto& shard : shards_) {
-    const consistency::CoherencyStats& s = shard->coherency.stats();
+    const consistency::CoherencyStats& s = shard->engine.coherency_stats();
     total.updates_offered += s.updates_offered;
     total.updates_sent += s.updates_sent;
     total.updates_suppressed += s.updates_suppressed;
@@ -685,7 +621,7 @@ pubsub::BrokerStats ParallelEngine::TotalBrokerStats() const {
   std::lock_guard<std::mutex> lock(pipeline_mu_);
   pubsub::BrokerStats total;
   for (const auto& shard : shards_) {
-    const pubsub::BrokerStats& s = shard->broker->stats();
+    const pubsub::BrokerStats& s = shard->engine.broker().stats();
     total.events_published += s.events_published;
     total.deliveries += s.deliveries;
     total.candidates_checked += s.candidates_checked;
@@ -697,32 +633,23 @@ pubsub::BrokerStats ParallelEngine::TotalBrokerStats() const {
   return total;
 }
 
-const EngineStats& ParallelEngine::shard_stats(size_t shard) const {
-  shards_[shard]->c.Fill(&shards_[shard]->snapshot);
-  return shards_[shard]->snapshot;
-}
-
-pubsub::Broker& ParallelEngine::shard_broker(size_t shard) {
-  return *shards_[shard]->broker;
-}
-
 void ParallelEngine::SetQosClock(const Clock* clock) {
   std::lock_guard<std::mutex> lock(pipeline_mu_);
-  for (auto& shard : shards_) shard->broker->SetClock(clock);
+  for (auto& shard : shards_) shard->engine.broker().SetClock(clock);
 }
 
 const Entity* ParallelEngine::FindPhysical(EntityId id) const {
   auto it = home_.find(id);
   return it == home_.end()
              ? nullptr
-             : shards_[it->second.shard]->physical.Get(id);
+             : shards_[it->second.shard]->engine.physical().Get(id);
 }
 
 const Entity* ParallelEngine::FindVirtual(EntityId id) const {
   auto it = home_.find(id);
   return it == home_.end()
              ? nullptr
-             : shards_[it->second.shard]->virtual_space.Get(id);
+             : shards_[it->second.shard]->engine.virtual_space().Get(id);
 }
 
 }  // namespace deluge::core

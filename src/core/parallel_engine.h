@@ -103,27 +103,21 @@ class SpatialSharder {
   std::vector<uint32_t> map_;  // tile Morton code -> shard
 };
 
-/// Load-adaptive shard rebalancing knobs (ROADMAP item 3: flash crowds
-/// melt a static assignment's hot shard while the others idle).
+/// Load-adaptive shard rebalancing knobs (flash crowds melt a static
+/// assignment's hot shard while the others idle).
+///
+/// The per-tile cost model charges one unit per ingested update and one
+/// per fan-out delivery, and folds each pipeline run's charge into an
+/// EWMA with smoothing factor `ParallelEngine::kLoadEwmaAlpha`.
 struct ElasticOptions {
   /// Master switch.  Off (default) keeps the static Z-order striping
   /// and skips all load accounting — zero overhead on the E18 path.
   bool enabled = false;
-  /// EWMA smoothing factor folded once per pipeline run:
-  /// ewma = (1-alpha)*ewma + alpha*batch_load.  Higher values track
-  /// load drift faster at the cost of rebalancing on noise; values
-  /// outside (0, 1] fall back to the default at engine construction.  See
-  /// EXPERIMENTS.md E23 for the drift-adaptation limitation this knob
-  /// trades against.
-  double ewma_alpha = 0.3;
   /// Rebalance when max/mean per-shard EWMA load exceeds this.
   double rebalance_threshold = 1.25;
   /// Pipeline runs between imbalance checks (amortizes the check and
   /// lets the EWMA settle after a migration).
   size_t min_batches_between_rebalances = 4;
-  /// Weight of one fan-out delivery relative to one ingested update in
-  /// the per-tile cost model.
-  double fanout_weight = 1.0;
   /// Hottest shard must carry at least this much EWMA load before a
   /// rebalance is worth its pause (filters start-up noise).
   double min_shard_load = 64.0;
@@ -134,11 +128,10 @@ struct ParallelEngineOptions {
   /// Per-shard engine configuration (world bounds, default coherency
   /// contract, broker cell size).
   EngineOptions engine;
-  /// Number of spatial shards (clamped to at least 1).
+  /// Number of spatial shards (clamped to at least 1).  The
+  /// shard-assignment tile gives each shard ~8 tiles along the world's
+  /// X extent.
   size_t num_shards = 4;
-  /// Side length of the shard-assignment tile.  0 derives a tile that
-  /// gives each shard ~8 tiles along the world's X extent.
-  double shard_cell = 0.0;
   /// Elastic rebalancing (off by default).
   ElasticOptions elastic;
 };
@@ -146,18 +139,18 @@ struct ParallelEngineOptions {
 /// The co-space engine scaled across cores: Fig. 7's parallelized
 /// serving tier for the Fig. 1 synchronization loop.
 ///
-/// `WorldSpace` state, the coherency filter, and the broker's regional
-/// subscription index are partitioned into `num_shards` spatial shards.
-/// Each entity is owned by the shard of its home tile — its spawn
-/// position initially, re-anchored to its current position when the
-/// elastic rebalancer migrates it.  Ownership only changes between
-/// pipeline runs, so per-entity update order — and therefore every
-/// coherency decision — is identical to a single-threaded run.
+/// The world is partitioned into `num_shards` spatial shards, each a
+/// `CoSpaceEngine` with its own spaces, coherency filter, broker, and
+/// watch registry.  Each entity is owned by the shard of its home tile
+/// — its spawn position initially, re-anchored to its current position
+/// when the elastic rebalancer migrates it.  Ownership only changes
+/// between pipeline runs, so per-entity update order — and therefore
+/// every coherency decision — is identical to a single-threaded run.
 /// `IngestBatch` drives a two-phase pipeline over the shared
 /// `ThreadPool`:
 ///
-///   1. ingest: each shard applies its entities' updates (hash-grid
-///      move, coherency check, mirror refresh) and stages emitted
+///   1. ingest: each shard applies its entities' updates
+///      (`CoSpaceEngine::ApplyPhysicalPosition`) and stages emitted
 ///      events into a per-destination outbox;
 ///   2. fan-out: each shard publishes the events whose *position* maps
 ///      to it on its own broker, so subscriber matching and delivery
@@ -168,11 +161,11 @@ struct ParallelEngineOptions {
 /// coherency, and its watchers see it before the next update of the
 /// batch is ingested — in the order `CoSpaceEngine` would deliver.
 ///
-/// Regional watches are registered on every shard overlapping the
-/// region, which together with position-routed fan-out makes delivery
-/// exact even when entities roam off their home shard.  Summed
-/// `EngineStats` are byte-identical to `CoSpaceEngine` fed the same
-/// per-entity update sequences.
+/// Regional watches are registered as one leg on every shard engine
+/// overlapping the region, which together with position-routed fan-out
+/// makes delivery exact even when entities roam off their home shard.
+/// Summed `EngineStats` are byte-identical to `CoSpaceEngine` fed the
+/// same per-entity update sequences.
 ///
 /// Each shard times its phase-1 loop once per pipeline run and records
 /// the mean nanoseconds per update into `engine.ingest_ns{qos=...}`,
@@ -202,7 +195,8 @@ class ParallelEngine {
  public:
   /// `pool` drives the shard tasks; null (or 1 shard) runs the same
   /// pipeline serially on the calling thread.  The pool is borrowed and
-  /// must outlive the engine.
+  /// must outlive the engine.  `clock` is not read; it stays for the
+  /// callers that pass one.
   explicit ParallelEngine(ParallelEngineOptions options,
                           ThreadPool* pool = nullptr,
                           Clock* clock = nullptr);
@@ -221,13 +215,15 @@ class ParallelEngine {
   void SetContract(EntityId id, const consistency::CoherencyContract& c);
 
   /// Subscribes `subscriber` to mirror updates inside `region`.  The
-  /// subscription is registered on every shard overlapping the region
-  /// (and follows the region across rebalances); returns one watch id
+  /// watch is registered on every shard overlapping the region (and
+  /// follows the region across rebalances); returns one watch id
   /// covering all of them.
   uint64_t WatchRegion(net::NodeId subscriber, const geo::AABB& region,
                        pubsub::Broker::Deliver deliver);
 
   /// Removes a watch registered via `WatchRegion`; false when unknown.
+  /// As with `CoSpaceEngine::Unwatch`, matches a queued shard broker
+  /// already holds still reach the callback at `Drain`.
   bool Unwatch(uint64_t watch_id);
 
   /// Registers the physical-side command channel (ground relays).
@@ -260,6 +256,11 @@ class ParallelEngine {
 
   // ------------------------------------------------ elastic rebalancing
 
+  /// EWMA smoothing factor folded once per elastic pipeline run:
+  /// ewma = (1-alpha)*ewma + alpha*run_load.  See EXPERIMENTS.md E23 for
+  /// the drift adaptation it trades against rebalancing on noise.
+  static constexpr double kLoadEwmaAlpha = 0.3;
+
   /// Forces a rebalance pass now, bypassing the cadence and imbalance
   /// gates (the accounting itself still requires
   /// `ElasticOptions.enabled`).  Returns true when the assignment
@@ -288,8 +289,12 @@ class ParallelEngine {
   consistency::CoherencyStats TotalCoherencyStats() const;
   pubsub::BrokerStats TotalBrokerStats() const;
 
-  const EngineStats& shard_stats(size_t shard) const;
-  pubsub::Broker& shard_broker(size_t shard);
+  const EngineStats& shard_stats(size_t shard) const {
+    return shards_[shard]->engine.stats();
+  }
+  pubsub::Broker& shard_broker(size_t shard) {
+    return shards_[shard]->engine.broker();
+  }
 
   /// Installs `clock` as the QoS delivery-latency clock on every shard
   /// broker (see `Broker::SetClock`).  Pass the workload's virtual-time
@@ -307,21 +312,15 @@ class ParallelEngine {
  private:
   struct Shard {
     Shard(const EngineOptions& opts, size_t num_shards, size_t index,
-          size_t tile_code_limit, pubsub::Broker::Deliver deliver);
+          size_t tile_code_limit);
 
-    WorldSpace physical;
-    WorldSpace virtual_space;
-    consistency::CoherencyFilter coherency;
-    std::unique_ptr<pubsub::Broker> broker;
-    /// Registry-backed engine counters, labelled {shard=<index>}.  Each
-    /// shard is written by exactly one pool worker per pipeline phase,
-    /// so sums stay byte-identical to the serial engine.
-    obs::StatsScope obs;
-    CoSpaceEngine::EngineCounters c;
+    /// This partition's Fig. 1 state, metrics labelled {shard=<index>}.
+    /// Each shard is written by exactly one pool worker per pipeline
+    /// phase, so summed stats stay byte-identical to the serial engine.
+    CoSpaceEngine engine;
     /// Phase-1 cost per update, ns, per QoS class
     /// (engine.ingest_ns{qos=...}).
     obs::ConcurrentHistogram* ingest_ns[kQosClassCount];
-    mutable EngineStats snapshot;
     std::mutex staged_mu;
     std::vector<SensedUpdate> staged;
     /// Events emitted in phase 1, bucketed by destination shard (unused
@@ -344,6 +343,8 @@ class ParallelEngine {
   };
 
   size_t HomeOf(EntityId id, const geo::Vec3& fallback_pos) const;
+  /// Records `entity`'s home tile and shard; returns that shard's engine.
+  CoSpaceEngine& AssignHome(const Entity& entity);
   bool IngestOnShard(Shard& shard, const SensedUpdate& u);
   /// Publishes `event` on `dest`'s broker and, in elastic mode, charges
   /// the deliveries to the event's position tile.
@@ -362,12 +363,9 @@ class ParallelEngine {
   /// The handoff protocol; pipeline_mu_ held, outboxes empty.  Returns
   /// true when the assignment changed.
   bool RebalanceLocked();
-  /// Moves one entity's spaces + coherency state between shards.
-  void MigrateEntity(EntityId id, Shard& from, Shard& to);
   std::vector<double> ShardLoadsLocked() const;
 
   ParallelEngineOptions options_;
-  Clock* clock_;
   ThreadPool* pool_;
   SpatialSharder sharder_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -380,17 +378,21 @@ class ParallelEngine {
   /// RebalanceLocked takes it exclusive.  Pipeline-side readers are
   /// already excluded via pipeline_mu_.
   mutable std::shared_mutex route_mu_;
-  std::vector<std::pair<net::NodeId, pubsub::Broker::Deliver>> watchers_;
   uint64_t next_watch_id_ = 1;
-  /// One regional watch: its defining subscription plus the per-shard
-  /// broker legs currently carrying it (re-registered on rebalance).
+  /// One regional watch: its definition plus the shard-engine watches
+  /// ("legs") currently carrying it (re-registered on rebalance).  Every
+  /// leg forwards to this watch's one `deliver` and shares it, so a
+  /// match queued by a leg a rebalance has since dropped still reaches
+  /// it.
   struct Watch {
     net::NodeId subscriber = 0;
     geo::AABB region;
-    std::vector<std::pair<size_t, uint64_t>> legs;  // (shard, sub id)
+    std::shared_ptr<const pubsub::Broker::Deliver> deliver;
+    std::vector<std::pair<size_t, uint64_t>> legs;  // (shard, leg id)
   };
+  /// Registers a leg of `watch` on shard `s`.
+  void AddLeg(Watch& watch, size_t s);
   std::unordered_map<uint64_t, Watch> watches_;
-  std::vector<CoSpaceEngine::CommandHandler> command_handlers_;
   /// Serializes pipeline runs, rebalances, and stats reads against
   /// each other.
   mutable std::mutex pipeline_mu_;

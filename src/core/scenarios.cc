@@ -47,13 +47,11 @@ MixedScenario::MixedScenario(ScenarioOptions options)
       pool_(std::max<size_t>(1, options_.num_shards)),
       runtime_(&sim_, /*keep_alive=*/500 * kMicrosPerMilli),
       net_(&sim_, options_.seed),
-      transport_(&net_, &sim_),
-      deliverer_(&transport_, RetryPolicy{}, options_.seed) {
+      deliverer_(&net_, RetryPolicy{}, options_.seed) {
   // --- Live event streaming: crowd + swarms on the sharded engine. ----
   ParallelEngineOptions peo;
   peo.num_shards = options_.num_shards;
   peo.elastic.enabled = true;
-  peo.elastic.ewma_alpha = options_.ewma_alpha;
   const geo::AABB world = peo.engine.world_bounds;
   engine_ = std::make_unique<ParallelEngine>(peo, &pool_, &clock_);
   engine_->SetQosClock(&clock_);
@@ -246,9 +244,9 @@ void MixedScenario::TickRemoteSite(int tick) {
   if (options_.partition_every > 0) {
     const int phase = tick % options_.partition_every;
     if (phase == 0 && tick > 0) {
-      transport_.Partition(local_site_, remote_site_);
+      net_.Partition(local_site_, remote_site_);
     } else if (phase == options_.partition_ticks) {
-      transport_.Heal(local_site_, remote_site_);
+      net_.Heal(local_site_, remote_site_);
     }
   }
   // A steady kBulk trickle (map-tile sync) rides along with the sampled

@@ -13,7 +13,6 @@
 #include "core/workloads.h"
 #include "net/network.h"
 #include "net/simulator.h"
-#include "net/transport.h"
 #include "pubsub/reliable.h"
 #include "runtime/serverless.h"
 #include "storage/kv_store.h"
@@ -71,9 +70,6 @@ struct ScenarioOptions {
   /// delivery latencies (kRealtime leaves in the first chunks).
   size_t drain_chunk = 256;
   Micros delivery_service_us = 4;
-
-  /// Elastic rebalancing EWMA (forwarded to `ElasticOptions`).
-  double ewma_alpha = 0.3;
 
   /// KVStore directory for the durable-telemetry leg; empty skips the
   /// storage leg entirely (totals report zero commits).
@@ -143,7 +139,6 @@ class MixedScenario {
 
   // Remote mirror site.
   net::Network net_;
-  net::SimTransport transport_;
   pubsub::ReliableDeliverer deliverer_;
   net::NodeId local_site_ = 0;
   net::NodeId remote_site_ = 0;

@@ -10,7 +10,7 @@
 namespace deluge::net {
 
 /// Identifier of a node (device, broker, executor, data center).  Under
-/// `SimTransport` ids are assigned densely per `Network`; under
+/// the simulated `Network` ids are assigned densely per network; under
 /// `SocketTransport` they are *cluster-global* and come from the
 /// `ClusterConfig`, so the same id names the same endpoint in every
 /// process.

@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "net/message.h"
 #include "net/simulator.h"
+#include "net/transport.h"
 #include "obs/metrics.h"
 
 namespace deluge::net {
@@ -25,23 +26,26 @@ struct LinkOptions {
   double drop_probability = 0.0;           ///< i.i.d. loss
 };
 
-/// A simulated message-passing network over a `Simulator`.
+/// A simulated message-passing network over a `Simulator` — the sim
+/// backend of `Transport`, whose clock and timers are the simulator's.
 ///
 /// Models per-link propagation latency, serialization delay from finite
 /// bandwidth (a link transmits one message at a time; later sends queue
 /// behind earlier ones), optional jitter and drops, and pairwise
 /// partitions.  This is the substitute substrate for the paper's 5G /
 /// inter-data-center links (see DESIGN.md substitution table).
-class Network {
+class Network final : public Transport {
  public:
-  using Handler =
-      std::function<void(const Message&)>;  ///< delivery callback
-
   /// `sim` must outlive the network.
   Network(Simulator* sim, uint64_t seed = 42);
 
   /// Adds a node with the given delivery handler; returns its id.
-  NodeId AddNode(Handler handler);
+  NodeId AddNode(Handler handler) override;
+
+  Micros Now() const override { return sim_->Now(); }
+  void After(Micros delay, std::function<void()> fn) override {
+    sim_->After(delay, std::move(fn));
+  }
 
   /// Sets characteristics of the directed link a->b.  Unset links use
   /// `default_link()`.
@@ -57,16 +61,16 @@ class Network {
   /// on the simulator; returns InvalidArgument for unknown nodes and
   /// Unavailable when the pair is partitioned (the message is counted as
   /// dropped).
-  Status Send(Message msg);
+  Status Send(Message msg) override;
 
   /// Cuts communication between `a` and `b` (both directions).
-  void Partition(NodeId a, NodeId b);
+  void Partition(NodeId a, NodeId b) override;
 
   /// Restores communication between `a` and `b`.
-  void Heal(NodeId a, NodeId b);
+  void Heal(NodeId a, NodeId b) override;
 
   /// True if a->b traffic is currently blocked.
-  bool IsPartitioned(NodeId a, NodeId b) const;
+  bool IsPartitioned(NodeId a, NodeId b) const override;
 
   // --- Fault-hook API (driven by chaos::FaultSchedule) -----------------
   //
@@ -78,28 +82,28 @@ class Network {
   // time and lost, matching datagram semantics.
 
   /// Marks a node down (crash) or back up (restart).  Nodes start up.
-  void SetNodeUp(NodeId n, bool up);
-  bool IsNodeUp(NodeId n) const;
+  void SetNodeUp(NodeId n, bool up) override;
+  bool IsNodeUp(NodeId n) const override;
 
   /// Takes the links between `a` and `b` down / back up (both
   /// directions).  Distinct from Partition so scheduled flaps and
   /// protocol-level partitions cannot mask each other's state.
-  void SetLinkDown(NodeId a, NodeId b, bool down);
-  bool IsLinkDown(NodeId a, NodeId b) const;
+  void SetLinkDown(NodeId a, NodeId b, bool down) override;
+  bool IsLinkDown(NodeId a, NodeId b) const override;
 
   /// Adds `extra` one-way latency on top of the configured link latency
   /// in both directions (0 clears the spike).
-  void SetExtraLatency(NodeId a, NodeId b, Micros extra);
+  void SetExtraLatency(NodeId a, NodeId b, Micros extra) override;
 
   /// Installs a Gilbert–Elliott burst-loss process on both directions
   /// (each direction keeps independent chain state).
-  void SetBurstLoss(NodeId a, NodeId b, const BurstLossModel& model);
-  void ClearBurstLoss(NodeId a, NodeId b);
+  void SetBurstLoss(NodeId a, NodeId b, const BurstLossModel& model) override;
+  void ClearBurstLoss(NodeId a, NodeId b) override;
 
-  size_t node_count() const { return handlers_.size(); }
+  size_t node_count() const override { return handlers_.size(); }
   /// Registry-backed snapshot, refreshed on every call.
-  const NetworkStats& stats() const;
-  void ResetStats();
+  const NetworkStats& stats() const override;
+  void ResetStats() override;
 
  private:
   struct LinkState {

@@ -5,8 +5,6 @@
 
 #include "common/status.h"
 #include "net/message.h"
-#include "net/network.h"
-#include "net/simulator.h"
 
 namespace deluge::net {
 
@@ -15,9 +13,9 @@ namespace deluge::net {
 /// overlay, chaos schedules) is written against (DESIGN.md §12).
 ///
 /// Two backends implement it:
-///  - `SimTransport` wraps the discrete-event `Network`/`Simulator`
-///    pair: virtual time, deterministic delivery, full link modelling.
-///    The in-process default for tests and experiments.
+///  - `Network` (network.h) is the discrete-event simulator backend:
+///    virtual time from its `Simulator`, deterministic delivery, full
+///    link modelling.  The in-process default for tests and experiments.
 ///  - `SocketTransport` (socket_transport.h) speaks length-prefixed
 ///    frames over real TCP or Unix-domain sockets, so the same protocol
 ///    objects run as separate OS processes in wall-clock time.
@@ -109,61 +107,6 @@ class Transport {
   /// Registry-backed snapshot, refreshed on every call.
   virtual const NetworkStats& stats() const = 0;
   virtual void ResetStats() {}
-};
-
-/// The simulator backend: a thin veneer over the existing
-/// `Network` + `Simulator` pair.  Behavior (delivery order, link
-/// models, fault semantics, stats) is byte-identical to driving the
-/// `Network` directly — every pre-transport experiment reproduces
-/// exactly through this wrapper.
-class SimTransport final : public Transport {
- public:
-  /// `net` and `sim` must outlive the transport (they are typically the
-  /// fixture's own members; `sim` must be the simulator `net` runs on).
-  SimTransport(Network* net, Simulator* sim) : net_(net), sim_(sim) {}
-
-  NodeId AddNode(Handler handler) override {
-    return net_->AddNode(std::move(handler));
-  }
-  Status Send(Message msg) override { return net_->Send(std::move(msg)); }
-  Micros Now() const override { return sim_->Now(); }
-  void After(Micros delay, std::function<void()> fn) override {
-    sim_->After(delay, std::move(fn));
-  }
-  size_t node_count() const override { return net_->node_count(); }
-
-  void SetNodeUp(NodeId n, bool up) override { net_->SetNodeUp(n, up); }
-  bool IsNodeUp(NodeId n) const override { return net_->IsNodeUp(n); }
-  void Partition(NodeId a, NodeId b) override { net_->Partition(a, b); }
-  void Heal(NodeId a, NodeId b) override { net_->Heal(a, b); }
-  bool IsPartitioned(NodeId a, NodeId b) const override {
-    return net_->IsPartitioned(a, b);
-  }
-  void SetLinkDown(NodeId a, NodeId b, bool down) override {
-    net_->SetLinkDown(a, b, down);
-  }
-  bool IsLinkDown(NodeId a, NodeId b) const override {
-    return net_->IsLinkDown(a, b);
-  }
-  void SetExtraLatency(NodeId a, NodeId b, Micros extra) override {
-    net_->SetExtraLatency(a, b, extra);
-  }
-  void SetBurstLoss(NodeId a, NodeId b, const BurstLossModel& model) override {
-    net_->SetBurstLoss(a, b, model);
-  }
-  void ClearBurstLoss(NodeId a, NodeId b) override {
-    net_->ClearBurstLoss(a, b);
-  }
-
-  const NetworkStats& stats() const override { return net_->stats(); }
-  void ResetStats() override { net_->ResetStats(); }
-
-  Network* network() { return net_; }
-  Simulator* simulator() { return sim_; }
-
- private:
-  Network* net_;
-  Simulator* sim_;
 };
 
 }  // namespace deluge::net

@@ -122,7 +122,7 @@ void Broker::SetQueueLimit(size_t limit) {
   if (limit > 0 && queue_.size() > limit) queue_.TruncateNewest(limit);
 }
 
-void Broker::Enqueue(net::NodeId subscriber, const EventRef& event) {
+void Broker::Enqueue(const Subscription& sub, const EventRef& event) {
   if (queue_.size() >= queue_limit_) {
     // Shed the lowest-class entry (oldest among ties); if the new
     // event itself ranks lowest, shed it instead.  O(log n) via the
@@ -136,12 +136,13 @@ void Broker::Enqueue(net::NodeId subscriber, const EventRef& event) {
     class_shed_[uint8_t(queue_.PeekWorst().event->qos)]->Add(1);
     queue_.PopWorst();
   }
-  queue_.Push(subscriber, event, next_queue_seq_++);
+  queue_.Push({sub.subscriber, sub.deliver, event, next_queue_seq_++});
   deliveries_queued_->Add(1);
   queue_high_water_->UpdateMax(double(queue_.size()));
 }
 
-void Broker::DeliverOne(net::NodeId subscriber, const Event& event) {
+void Broker::DeliverOne(net::NodeId subscriber, const DeliverFn* deliver,
+                        const Event& event) {
   if (clock_ != nullptr) {
     class_delivered_[uint8_t(event.qos)]->Add(1);
     if (event.published_at > 0) {
@@ -149,7 +150,8 @@ void Broker::DeliverOne(net::NodeId subscriber, const Event& event) {
                                                event.published_at);
     }
   }
-  if (deliver_) deliver_(subscriber, event);
+  const DeliverFn& fn = deliver != nullptr ? *deliver : deliver_;
+  if (fn) fn(subscriber, event);
 }
 
 size_t Broker::Drain(size_t max) {
@@ -158,7 +160,7 @@ size_t Broker::Drain(size_t max) {
     // Highest class rank first, FIFO within a class — O(log n) pops
     // from the best-first heap.
     DeliveryHeap::Item d = queue_.PopBest();
-    DeliverOne(d.subscriber, *d.event);
+    DeliverOne(d.subscriber, d.deliver.get(), *d.event);
     ++delivered;
   }
   return delivered;
@@ -182,9 +184,11 @@ size_t Broker::Publish(const Event& event) {
     ++delivered;
     if (queue_limit_ > 0) {
       if (shared == nullptr) shared = std::make_shared<const Event>(event);
-      Enqueue(it->second.subscriber, shared);
+      Enqueue(it->second, shared);
     } else {
-      DeliverOne(it->second.subscriber, event);
+      // Hold the callback: it may remove its own subscription.
+      const std::shared_ptr<const DeliverFn> deliver = it->second.deliver;
+      DeliverOne(it->second.subscriber, deliver.get(), event);
     }
   };
 

@@ -35,15 +35,18 @@ struct BrokerStats {
 /// This is the structure the paper points at for cross-space
 /// dissemination at scale (Section IV-E, [41]).  Delivery is via a
 /// pluggable callback so the broker runs equally in-process (tests) or
-/// bound to `net::Network` sends (experiments).
+/// bound to `net::Network` sends (experiments).  A subscription may
+/// carry its own callback (`Subscription::deliver`), which then
+/// receives exactly that subscription's matches.
 class Broker {
  public:
-  using Deliver =
-      std::function<void(net::NodeId subscriber, const Event& event)>;
+  using Deliver = DeliverFn;
 
-  /// `world`/`cell` configure the regional coarse index.  `extra_labels`
-  /// tag this broker's registry metrics (e.g. {shard=3} in an overlay or
-  /// sharded engine).
+  /// `world`/`cell` configure the regional coarse index.  `deliver`
+  /// receives the matches of subscriptions without their own callback
+  /// (null drops them after counting).  `extra_labels` tag this
+  /// broker's registry metrics (e.g. {shard=3} in an overlay or sharded
+  /// engine).
   Broker(const geo::AABB& world, double cell_size, Deliver deliver,
          obs::Labels extra_labels = {});
 
@@ -85,8 +88,10 @@ class Broker {
  private:
   using CellKey = uint64_t;
 
-  void Enqueue(net::NodeId subscriber, const EventRef& event);
-  void DeliverOne(net::NodeId subscriber, const Event& event);
+  void Enqueue(const Subscription& sub, const EventRef& event);
+  /// Hands `event` to `deliver`, or to `deliver_` when null.
+  void DeliverOne(net::NodeId subscriber, const DeliverFn* deliver,
+                  const Event& event);
 
   std::vector<CellKey> CellsCovering(const geo::AABB& box) const;
   CellKey CellFor(const geo::Vec3& p) const;

@@ -88,7 +88,7 @@ void DeliveryHeap::Prune(std::vector<size_t>* heap, bool best) {
   }
 }
 
-void DeliveryHeap::Push(net::NodeId subscriber, EventRef event, uint64_t seq) {
+void DeliveryHeap::Push(Item item) {
   size_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -98,7 +98,7 @@ void DeliveryHeap::Push(net::NodeId subscriber, EventRef event, uint64_t seq) {
     slots_.emplace_back();
   }
   Slot& s = slots_[slot];
-  s.item = Item{subscriber, std::move(event), seq};
+  s.item = std::move(item);
   s.priority = QosRank(s.item.event->qos);
   s.alive = true;
   s.refs = 2;
@@ -126,8 +126,11 @@ void DeliveryHeap::PopWorst() {
   // free as soon as its last live queue slot is gone (the seed instead
   // blanked the whole Event on slot reuse, pinning payloads meanwhile).
   slots_[slot].item.event.reset();
+  slots_[slot].item.deliver.reset();
   --live_;
   if (--slots_[slot].refs == 0) Release(slot);
+  // Frees the best heap's twin tombstone (else shed slots pile up).
+  Prune(&best_heap_, /*best=*/true);
 }
 
 DeliveryHeap::Item DeliveryHeap::PopBest() {
@@ -140,6 +143,8 @@ DeliveryHeap::Item DeliveryHeap::PopBest() {
   slots_[slot].alive = false;
   --live_;
   if (--slots_[slot].refs == 0) Release(slot);
+  // Frees the worst heap's twin tombstone (else drained slots pile up).
+  Prune(&worst_heap_, /*best=*/false);
   return out;
 }
 
@@ -159,7 +164,7 @@ void DeliveryHeap::TruncateNewest(size_t limit) {
   worst_heap_.clear();
   live_ = 0;
   for (Item& item : kept) {
-    Push(item.subscriber, std::move(item.event), item.seq);
+    Push(std::move(item));
   }
 }
 

@@ -17,10 +17,11 @@ namespace deluge::pubsub {
 /// Two binary heaps index a shared entry slab: a best-first heap
 /// ordered (priority desc, seq asc) and a worst-first heap ordered
 /// (priority asc, seq asc).  Removing through one heap tombstones the
-/// slab slot; the other heap skips dead tops lazily and each heap
-/// compacts once tombstones outnumber live entries, so `Push`,
-/// `PopBest`, and `PopWorst` are all amortized O(log n) — replacing the
-/// seed's O(n) scans per pop/evict.
+/// slab slot; every pop then prunes the other heap too, which drops
+/// dead tops and compacts once tombstones outnumber live entries, so a
+/// slot is recycled whichever end empties the queue.  `Push`, `PopBest`,
+/// and `PopWorst` are all amortized O(log n) — replacing the seed's
+/// O(n) scans per pop/evict.
 class DeliveryHeap {
  public:
   /// Queue slots hold a shared `EventRef`, not an Event copy: an event
@@ -29,14 +30,18 @@ class DeliveryHeap {
   /// popping a slot drops only that slot's reference.
   struct Item {
     net::NodeId subscriber = 0;
+    std::shared_ptr<const DeliverFn> deliver;  ///< the subscription's
     EventRef event;
     uint64_t seq = 0;  ///< FIFO order within a priority
   };
 
   size_t size() const { return live_; }
   bool empty() const { return live_ == 0; }
+  /// Slab slots allocated, live or free: popped and shed slots are
+  /// reused, so this stays near the queue's peak size.
+  size_t slot_count() const { return slots_.size(); }
 
-  void Push(net::NodeId subscriber, EventRef event, uint64_t seq);
+  void Push(Item item);
 
   /// Lowest priority, oldest among ties.  Precondition: !empty().
   const Item& PeekWorst();

@@ -2,6 +2,7 @@
 #define DELUGE_PUBSUB_SUBSCRIPTION_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -66,6 +67,10 @@ struct Event {
 /// delivery queue and fan-out paths pass around instead of Event copies.
 using EventRef = std::shared_ptr<const Event>;
 
+/// Receives one matched event on behalf of `subscriber`.
+using DeliverFn =
+    std::function<void(net::NodeId subscriber, const Event& event)>;
+
 /// A standing interest registration.
 ///
 /// An event matches when (a) the topic matches (empty = wildcard),
@@ -78,6 +83,10 @@ struct Subscription {
   std::string topic;
   std::optional<geo::AABB> region;
   std::vector<Predicate> predicates;
+  /// Receives this subscription's matches (null: the broker's callback).
+  /// A queued match holds a reference, so it still arrives at `Drain`
+  /// after the subscription is removed.
+  std::shared_ptr<const DeliverFn> deliver;
 
   bool Matches(const Event& event) const;
 };

@@ -5,7 +5,7 @@
 namespace deluge::runtime {
 
 ElasticExecutorPool::ElasticExecutorPool(net::Simulator* sim,
-                                         ElasticOptions options)
+                                         ElasticExecutorPoolOptions options)
     : sim_(sim),
       options_(options),
       executors_(std::max<size_t>(1, options.min_executors)),

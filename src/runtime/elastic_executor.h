@@ -13,7 +13,7 @@
 namespace deluge::runtime {
 
 /// Configuration of the elastic executor pool.
-struct ElasticOptions {
+struct ElasticExecutorPoolOptions {
   size_t min_executors = 1;
   size_t max_executors = 64;
   /// Scale out when queued tasks per executor exceed this.
@@ -44,7 +44,7 @@ struct ElasticStats {
 /// behaviour the paper calls for, with realistic provisioning delay).
 class ElasticExecutorPool {
  public:
-  ElasticExecutorPool(net::Simulator* sim, ElasticOptions options);
+  ElasticExecutorPool(net::Simulator* sim, ElasticExecutorPoolOptions options);
 
   /// Submits a task of `cost` virtual CPU time; `done` (optional) fires
   /// at completion.
@@ -67,7 +67,7 @@ class ElasticExecutorPool {
   void AccountExecutorTime();
 
   net::Simulator* sim_;
-  ElasticOptions options_;
+  ElasticExecutorPoolOptions options_;
   size_t executors_;
   size_t busy_ = 0;
   std::deque<Task> queue_;

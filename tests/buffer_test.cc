@@ -346,20 +346,48 @@ TEST(EventWireTest, RoundTripWithoutPosition) {
 TEST(DeliveryHeapShedTest, ShedAndPopSlotsReleaseEventRefs) {
   auto event = std::make_shared<const pubsub::Event>();
   ASSERT_EQ(event.use_count(), 1);
+  // The subscription callback a slot carries is released the same way.
+  auto deliver = std::make_shared<const pubsub::DeliverFn>();
 
   pubsub::DeliveryHeap heap;
-  for (uint64_t i = 0; i < 4; ++i) heap.Push(net::NodeId(i), event, i);
+  for (uint32_t i = 0; i < 4; ++i) heap.Push({i, deliver, event, i});
   EXPECT_EQ(event.use_count(), 5);  // ours + 4 queue slots
+  EXPECT_EQ(deliver.use_count(), 5);
 
   heap.PopWorst();  // shed path
   EXPECT_EQ(event.use_count(), 4) << "shed slot kept its payload ref";
+  EXPECT_EQ(deliver.use_count(), 4) << "shed slot kept its callback ref";
   (void)heap.PopBest();  // drain path (returned Item dropped here)
   EXPECT_EQ(event.use_count(), 3);
+  EXPECT_EQ(deliver.use_count(), 3);
   heap.TruncateNewest(1);  // queue-shrink path
   EXPECT_EQ(event.use_count(), 2);
+  EXPECT_EQ(deliver.use_count(), 2);
   (void)heap.PopBest();
   EXPECT_TRUE(heap.empty());
   EXPECT_EQ(event.use_count(), 1) << "emptied heap still pins the event";
+  EXPECT_EQ(deliver.use_count(), 1);
+}
+
+TEST(DeliveryHeapShedTest, PoppedAndShedSlotsAreReused) {
+  // A pop leaves a tombstone in the other heap; it must be pruned there
+  // too, or a queue emptied from one end only grows a slot per entry.
+  auto rt = std::make_shared<pubsub::Event>();
+  rt->qos = QosClass::kRealtime;
+  auto bulk = std::make_shared<const pubsub::Event>();  // kBulk
+  pubsub::DeliveryHeap heap;
+  uint64_t seq = 0;
+  for (uint32_t i = 0; i < 16; ++i) heap.Push({i, nullptr, bulk, seq++});
+  for (uint32_t i = 0; i < 1000; ++i) {
+    heap.Push({i, nullptr, i % 2 ? bulk : rt, seq++});
+    (void)heap.PopBest();  // drain only
+  }
+  for (uint32_t i = 0; i < 1000; ++i) {
+    heap.Push({i, nullptr, i % 2 ? bulk : rt, seq++});
+    heap.PopWorst();  // shed only
+  }
+  EXPECT_EQ(heap.size(), 16u);
+  EXPECT_LE(heap.slot_count(), 64u);
 }
 
 TEST(DeliveryHeapShedTest, BrokerSheddingFreesPayloadBuffers) {

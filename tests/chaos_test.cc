@@ -11,7 +11,6 @@
 
 #include "chaos/fault_schedule.h"
 #include "net/network.h"
-#include "net/transport.h"
 #include "pubsub/broker.h"
 #include "pubsub/reliable.h"
 #include "runtime/serverless.h"
@@ -31,12 +30,11 @@ struct ChaosRun {
 ChaosRun RunRandomSchedule(uint64_t seed) {
   net::Simulator sim;
   net::Network net(&sim);
-  net::SimTransport transport(&net, &sim);
   std::vector<net::NodeId> nodes;
   for (int i = 0; i < 6; ++i) {
     nodes.push_back(net.AddNode([](const net::Message&) {}));
   }
-  chaos::FaultSchedule schedule(&transport);
+  chaos::FaultSchedule schedule(&net);
   schedule.GenerateRandom(seed, nodes, chaos::RandomScheduleOptions{});
   schedule.Arm();
   sim.Run();
@@ -62,10 +60,9 @@ TEST(FaultScheduleTest, DifferentSeedsProduceDifferentTraces) {
 TEST(FaultScheduleTest, ScriptedEventsApplyAndCount) {
   net::Simulator sim;
   net::Network net(&sim);
-  net::SimTransport transport(&net, &sim);
   net::NodeId a = net.AddNode([](const net::Message&) {});
   net::NodeId b = net.AddNode([](const net::Message&) {});
-  chaos::FaultSchedule schedule(&transport);
+  chaos::FaultSchedule schedule(&net);
   schedule.CrashNode(10 * kMicrosPerMilli, b, /*down_for=*/50 * kMicrosPerMilli)
       .PartitionWindow(20 * kMicrosPerMilli, a, b,
                        /*heal_after=*/30 * kMicrosPerMilli)
@@ -89,10 +86,9 @@ TEST(FaultScheduleTest, ScriptedEventsApplyAndCount) {
 TEST(FaultScheduleTest, UnpairedPartitionAndHealWithObserver) {
   net::Simulator sim;
   net::Network net(&sim);
-  net::SimTransport transport(&net, &sim);
   net::NodeId a = net.AddNode([](const net::Message&) {});
   net::NodeId b = net.AddNode([](const net::Message&) {});
-  chaos::FaultSchedule schedule(&transport);
+  chaos::FaultSchedule schedule(&net);
   // PartitionAt/HealAt are independent events, so protocol code (e.g.
   // anti-entropy) can be triggered exactly at the heal edge.
   schedule.PartitionAt(10 * kMicrosPerMilli, a, b)
@@ -284,7 +280,6 @@ TEST(ServerlessSheddingTest, ConcurrencyLimitShedsAndServesByClass) {
 TEST(ReliableDelivererTest, RetriesThroughPartitionUntilHealed) {
   net::Simulator sim;
   net::Network net(&sim);
-  net::SimTransport transport(&net, &sim);
   net::NodeId a = net.AddNode([](const net::Message&) {});
   int received = 0;
   net::NodeId b = net.AddNode([&](const net::Message&) { ++received; });
@@ -294,7 +289,7 @@ TEST(ReliableDelivererTest, RetriesThroughPartitionUntilHealed) {
   RetryPolicy policy;
   policy.max_attempts = 10;
   policy.initial_backoff = 50 * kMicrosPerMilli;
-  pubsub::ReliableDeliverer deliverer(&transport, policy);
+  pubsub::ReliableDeliverer deliverer(&net, policy);
   deliverer.breaker_options().failure_threshold = 100;  // no breaker here
 
   net.Partition(a, b);
@@ -314,14 +309,13 @@ TEST(ReliableDelivererTest, RetriesThroughPartitionUntilHealed) {
 TEST(ReliableDelivererTest, BreakerFastFailsAfterRepeatedFailures) {
   net::Simulator sim;
   net::Network net(&sim);
-  net::SimTransport transport(&net, &sim);
   net::NodeId a = net.AddNode([](const net::Message&) {});
   net::NodeId b = net.AddNode([](const net::Message&) {});
 
   RetryPolicy policy;
   policy.max_attempts = 10;
   policy.initial_backoff = 10 * kMicrosPerMilli;
-  pubsub::ReliableDeliverer deliverer(&transport, policy);
+  pubsub::ReliableDeliverer deliverer(&net, policy);
   deliverer.breaker_options().failure_threshold = 3;
 
   net.Partition(a, b);  // never heals
@@ -345,14 +339,12 @@ class TxnChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
     net_ = std::make_unique<net::Network>(&sim_);
-    transport_ = std::make_unique<net::SimTransport>(net_.get(), &sim_);
     for (int i = 0; i < 3; ++i) {
-      shards_.push_back(std::make_unique<txn::ShardNode>(transport_.get()));
+      shards_.push_back(std::make_unique<txn::ShardNode>(net_.get()));
     }
     std::vector<txn::ShardNode*> ptrs;
     for (auto& s : shards_) ptrs.push_back(s.get());
-    system_ =
-        std::make_unique<txn::DistributedTxnSystem>(transport_.get(), ptrs);
+    system_ = std::make_unique<txn::DistributedTxnSystem>(net_.get(), ptrs);
     net_->default_link().latency = 5 * kMicrosPerMilli;
     net_->default_link().bandwidth_bytes_per_sec = 0;
   }
@@ -366,7 +358,6 @@ class TxnChaosTest : public ::testing::Test {
 
   net::Simulator sim_;
   std::unique_ptr<net::Network> net_;
-  std::unique_ptr<net::SimTransport> transport_;
   std::vector<std::unique_ptr<txn::ShardNode>> shards_;
   std::unique_ptr<txn::DistributedTxnSystem> system_;
 };
@@ -375,7 +366,7 @@ TEST_F(TxnChaosTest, RetransmitsDriveCommitThroughTransientPartition) {
   // The prepare round is cut by a partition that heals before the
   // timeout: retransmission must complete the protocol (the seed system
   // would have timed out and aborted).
-  chaos::FaultSchedule schedule(transport_.get());
+  chaos::FaultSchedule schedule(net_.get());
   schedule.PartitionWindow(0, system_->coordinator_node(),
                            shards_[1]->node_id(),
                            /*heal_after=*/400 * kMicrosPerMilli);

@@ -115,16 +115,34 @@ TEST_F(EngineTest, MirrorUpdatesReachRegionalWatchers) {
   CoSpaceEngine engine(DefaultOptions(), &clock_);
   engine.SpawnPhysical(MakeAvatar(1, {100, 100, 0}));
   std::vector<pubsub::Event> seen;
-  engine.WatchRegion(7, geo::AABB({0, 0, 0}, {200, 200, 100}),
-                     [&](net::NodeId, const pubsub::Event& e) {
-                       seen.push_back(e);
+  const uint64_t near = engine.WatchRegion(
+      7, geo::AABB({0, 0, 0}, {200, 200, 100}),
+      [&](net::NodeId, const pubsub::Event& e) { seen.push_back(e); });
+  // A second watch by the same subscriber sees only its own region.
+  size_t far_seen = 0;
+  engine.WatchRegion(7, geo::AABB({400, 400, 0}, {600, 600, 100}),
+                     [&](net::NodeId subscriber, const pubsub::Event&) {
+                       EXPECT_EQ(subscriber, 7u);
+                       ++far_seen;
                      });
   engine.IngestPhysicalPosition(1, {150, 150, 0}, 1000);  // big move: mirrors
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0].topic, "mirror.position");
+  EXPECT_EQ(far_seen, 0u);
   // Moves outside the watched region do not notify this watcher.
   engine.IngestPhysicalPosition(1, {500, 500, 0}, 2000);
   EXPECT_EQ(seen.size(), 1u);
+  EXPECT_EQ(far_seen, 1u);
+  // A subscription added on the broker directly is matched and counted
+  // but reaches no watch, not even one whose id is its subscriber.
+  pubsub::Subscription direct;
+  direct.subscriber = net::NodeId(near);
+  direct.region = geo::AABB({0, 0, 0}, {1000, 1000, 100});
+  engine.broker().Subscribe(std::move(direct));
+  engine.IngestPhysicalPosition(1, {100, 100, 0}, 3000);
+  EXPECT_EQ(engine.broker().stats().deliveries, 4u);
+  EXPECT_EQ(seen.size(), 2u);
+  EXPECT_EQ(far_seen, 1u);
 }
 
 TEST_F(EngineTest, AttributesMirrorAndPublish) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "net/network.h"
 #include "p2p/chord.h"
 
 namespace deluge::p2p {
@@ -14,8 +15,7 @@ class ChordTest : public ::testing::Test {
  protected:
   net::Simulator sim_;
   net::Network net_{&sim_};
-  net::SimTransport transport_{&net_, &sim_};
-  ChordRing ring_{&transport_};
+  ChordRing ring_{&net_};
 
   std::vector<RingId> AddPeers(int n) {
     std::vector<RingId> ids;

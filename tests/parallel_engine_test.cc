@@ -25,6 +25,13 @@ EngineOptions BaseOptions() {
   return opts;
 }
 
+Entity At(EntityId id, const geo::Vec3& position) {
+  Entity e;
+  e.id = id;
+  e.position = position;
+  return e;
+}
+
 ParallelEngineOptions ShardedOptions(size_t shards) {
   ParallelEngineOptions opts;
   opts.engine = BaseOptions();
@@ -161,9 +168,7 @@ TEST(ParallelEngineTest, MatchesSingleThreadedEngine) {
   fleet_opts.num_entities = 500;
   SensorFleet fleet(kWorld, fleet_opts);
   for (EntityId id = 1; id <= 500; ++id) {
-    Entity e;
-    e.id = id;
-    e.position = fleet.TruePosition(id);
+    const Entity e = At(id, fleet.TruePosition(id));
     serial.SpawnPhysical(e);
     sharded.SpawnPhysical(e);
   }
@@ -214,10 +219,8 @@ TEST(ParallelEngineTest, PerShardStatsSumToTotals) {
   ParallelEngine engine(ShardedOptions(4), &pool);
   Rng rng(3);
   for (EntityId id = 1; id <= 200; ++id) {
-    Entity e;
-    e.id = id;
-    e.position = {rng.UniformDouble(0, 1000), rng.UniformDouble(0, 1000), 50};
-    engine.SpawnPhysical(e);
+    engine.SpawnPhysical(
+        At(id, {rng.UniformDouble(0, 1000), rng.UniformDouble(0, 1000), 50}));
   }
   std::vector<SensedUpdate> batch;
   for (EntityId id = 1; id <= 200; ++id) {
@@ -261,10 +264,7 @@ TEST(ParallelEngineTest, ConcurrentEnqueueMatchesSerialTotals) {
   Rng rng(99);
   for (EntityId id = 1; id <= kEntities; ++id) {
     geo::Vec3 pos{rng.UniformDouble(0, 1000), rng.UniformDouble(0, 1000), 50};
-    Entity e;
-    e.id = id;
-    e.position = pos;
-    spawns.push_back(e);
+    spawns.push_back(At(id, pos));
     for (size_t r = 0; r < kRounds; ++r) {
       pos.x = std::clamp(pos.x + rng.UniformDouble(-3, 3), 0.0, 1000.0);
       pos.y = std::clamp(pos.y + rng.UniformDouble(-3, 3), 0.0, 1000.0);
@@ -332,10 +332,7 @@ TEST(ParallelEngineTest, CrossShardRoamingStillDeliversToRegionWatch) {
   ParallelEngine engine(opts, &pool);
 
   // Entity homed near the origin corner...
-  Entity e;
-  e.id = 1;
-  e.position = {10, 10, 50};
-  engine.SpawnPhysical(e);
+  engine.SpawnPhysical(At(1, {10, 10, 50}));
 
   // ...watched in the far corner, which (with a 4-shard Morton grid)
   // need not include the home shard.
@@ -362,6 +359,16 @@ TEST(ParallelEngineTest, CrossShardRoamingStillDeliversToRegionWatch) {
   batch = {{1, {955, 955, 50}, 3 * kMicrosPerSecond}};
   engine.IngestBatch(batch);
   EXPECT_EQ(delivered.load(), 1);
+
+  // A re-watch by the same subscriber reaches only the new callback.
+  std::atomic<int> rewatched{0};
+  engine.WatchRegion(7, region, [&](net::NodeId, const pubsub::Event&) {
+    rewatched.fetch_add(1);
+  });
+  batch = {{1, {960, 960, 50}, 4 * kMicrosPerSecond}};
+  engine.IngestBatch(batch);
+  EXPECT_EQ(rewatched.load(), 1);
+  EXPECT_EQ(delivered.load(), 1);
 }
 
 TEST(ParallelEngineTest, IssueVirtualCommandSpansShards) {
@@ -371,15 +378,9 @@ TEST(ParallelEngineTest, IssueVirtualCommandSpansShards) {
   std::vector<geo::Vec3> corners = {
       {100, 100, 50}, {900, 100, 50}, {100, 900, 50}, {900, 900, 50}};
   for (size_t i = 0; i < corners.size(); ++i) {
-    Entity e;
-    e.id = EntityId(i + 1);
-    e.position = corners[i];
-    engine.SpawnPhysical(e);
+    engine.SpawnPhysical(At(EntityId(i + 1), corners[i]));
   }
-  Entity v;
-  v.id = 99;
-  v.position = {500, 500, 50};
-  engine.SpawnVirtual(v);
+  engine.SpawnVirtual(At(99, {500, 500, 50}));
 
   std::vector<EntityId> relayed;
   engine.OnPhysicalCommand(
@@ -432,9 +433,7 @@ TEST(ParallelEngineTest, ElasticRebalanceTriggersAndMatchesSerial) {
   ParallelEngine sharded(ElasticOptionsFor(4), &pool, &clock);
 
   for (EntityId id = 1; id <= kEntities; ++id) {
-    Entity e;
-    e.id = id;
-    e.position = BandWalk(id, 0).position;
+    const Entity e = At(id, BandWalk(id, 0).position);
     serial.SpawnPhysical(e);
     sharded.SpawnPhysical(e);
   }
@@ -488,10 +487,7 @@ TEST(ParallelEngineTest, ElasticStagedUpdatesFollowMigratedEntities) {
   ParallelEngine engine(elastic_opts, &pool);
   constexpr size_t kEntities = 64;
   for (EntityId id = 1; id <= kEntities; ++id) {
-    Entity e;
-    e.id = id;
-    e.position = BandWalk(id, 0).position;
-    engine.SpawnPhysical(e);
+    engine.SpawnPhysical(At(id, BandWalk(id, 0).position));
   }
   // One ingested batch seeds the EWMA with the banded load (a forced
   // rebalance on a zero ledger is a deliberate no-op).
@@ -523,10 +519,7 @@ TEST(ParallelEngineTest, ElasticWatchDeliveriesExactAcrossRebalances) {
   ParallelEngineOptions opts = ElasticOptionsFor(4);
   opts.engine.default_contract = {0.0, 0};  // every update mirrors
   ParallelEngine engine(opts, &pool);
-  Entity e;
-  e.id = 1;
-  e.position = {500, 495, 50};
-  engine.SpawnPhysical(e);
+  engine.SpawnPhysical(At(1, {500, 495, 50}));
 
   std::atomic<int> delivered{0};
   geo::AABB region({0, 400, 0}, {1000, 600, 100});
@@ -548,6 +541,63 @@ TEST(ParallelEngineTest, ElasticWatchDeliveriesExactAcrossRebalances) {
   EXPECT_GT(engine.rebalance_count(), 0u);
 }
 
+TEST(ParallelEngineTest, ElasticRebalanceKeepsQueuedDeliveriesOfDroppedLegs) {
+  // A rebalance drops the legs of a watch on shards that no longer
+  // cover its region while their queued brokers still hold matches
+  // those legs made: each must still reach the watch at Drain.
+  ThreadPool pool(4);
+  ParallelEngineOptions opts = ElasticOptionsFor(4);
+  opts.engine.default_contract = {0.0, 0};  // every update mirrors
+  opts.elastic.rebalance_threshold = 1e9;   // only the forced Rebalance()
+  ParallelEngine engine(opts, &pool);
+  for (size_t s = 0; s < 4; ++s) engine.shard_broker(s).SetQueueLimit(1024);
+  // Entities 1-4 sit one in each tile of the corner 2x2 tile block
+  // (Morton codes 0-3, striped over all four shards).  The banded crowd
+  // 101-164 loads the engine so that the rebalance gives the cold
+  // corner to one shard.
+  auto update = [](EntityId id, size_t r) {
+    if (id > 4) return BandWalk(id, r);
+    const geo::Vec3 p{15.0 + double((id - 1) % 2 * 30 + r),
+                      15.0 + double((id - 1) / 2 * 30), 50};
+    return SensedUpdate{id, p, Micros(r + 1) * kMicrosPerSecond};
+  };
+  std::vector<EntityId> ids{1, 2, 3, 4};
+  for (EntityId id = 101; id <= 164; ++id) ids.push_back(id);
+  for (EntityId id : ids) engine.SpawnPhysical(At(id, update(id, 0).position));
+  std::atomic<uint64_t> delivered{0};
+  engine.WatchRegion(
+      9, geo::AABB({1, 1, 0}, {60, 60, 100}),
+      [&](net::NodeId, const pubsub::Event&) { delivered.fetch_add(1); });
+  auto tick = [&](size_t r) {
+    std::vector<SensedUpdate> batch;
+    for (EntityId id : ids) batch.push_back(update(id, r));
+    engine.IngestBatch(batch);
+  };
+  auto depths = [&] {  // queued deliveries per shard, ascending
+    std::vector<size_t> d;
+    for (size_t s = 0; s < 4; ++s) {
+      d.push_back(engine.shard_broker(s).queue_depth());
+    }
+    std::sort(d.begin(), d.end());
+    return d;
+  };
+  auto drain = [&] {
+    for (size_t s = 0; s < 4; ++s) engine.shard_broker(s).Drain();
+  };
+
+  tick(1);
+  EXPECT_EQ(depths(), (std::vector<size_t>{1, 1, 1, 1}));
+  ASSERT_TRUE(engine.Rebalance());
+  drain();
+  EXPECT_EQ(delivered.load(), 4u);
+  // The corner now belongs to one shard, which alone matches the watch.
+  tick(2);
+  EXPECT_EQ(depths(), (std::vector<size_t>{0, 0, 0, 4}));
+  drain();
+  EXPECT_EQ(delivered.load(), 8u);
+  EXPECT_EQ(engine.TotalBrokerStats().deliveries, 8u);
+}
+
 TEST(ParallelEngineTest, ElasticConcurrentEnqueueDuringRebalance) {
   constexpr size_t kThreads = 4;
   constexpr size_t kEntitiesPerThread = 25;
@@ -557,10 +607,7 @@ TEST(ParallelEngineTest, ElasticConcurrentEnqueueDuringRebalance) {
   ThreadPool pool(4);
   ParallelEngine engine(ElasticOptionsFor(4), &pool);
   for (EntityId id = 1; id <= kEntities; ++id) {
-    Entity e;
-    e.id = id;
-    e.position = BandWalk(id, 0).position;
-    engine.SpawnPhysical(e);
+    engine.SpawnPhysical(At(id, BandWalk(id, 0).position));
   }
 
   // Producers stage through the shared-locked Enqueue path while the
@@ -595,10 +642,7 @@ TEST(ParallelEngineTest, ElasticConcurrentEnqueueDuringRebalance) {
 TEST(ParallelEngineTest, ElasticDisabledKeepsStaticStriping) {
   ThreadPool pool(2);
   ParallelEngine engine(ShardedOptions(4), &pool);  // elastic off
-  Entity e;
-  e.id = 1;
-  e.position = {500, 495, 50};
-  engine.SpawnPhysical(e);
+  engine.SpawnPhysical(At(1, {500, 495, 50}));
   for (size_t r = 1; r <= 8; ++r) {
     std::vector<SensedUpdate> batch{BandWalk(1, r)};
     engine.IngestBatch(batch);
@@ -611,10 +655,7 @@ TEST(ParallelEngineTest, ElasticDisabledKeepsStaticStriping) {
 
 TEST(ParallelEngineTest, SingleShardNullPoolRunsSerially) {
   ParallelEngine engine(ShardedOptions(1), nullptr);
-  Entity e;
-  e.id = 1;
-  e.position = {10, 10, 10};
-  engine.SpawnPhysical(e);
+  engine.SpawnPhysical(At(1, {10, 10, 10}));
   std::vector<SensedUpdate> batch{{1, {20, 20, 10}, kMicrosPerSecond}};
   EXPECT_EQ(engine.IngestBatch(batch), 1u);
   EXPECT_EQ(engine.TotalStats().physical_updates, 1u);
@@ -634,9 +675,7 @@ TEST(ParallelEngineTest, SingleShardPublishesEachRefreshBeforeTheNextUpdate) {
   CoSpaceEngine serial(opts.engine, &clock);
   const geo::Vec3 start[2] = {{100, 100, 50}, {200, 200, 50}};
   for (EntityId id = 1; id <= 2; ++id) {
-    Entity e;
-    e.id = id;
-    e.position = start[id - 1];
+    const Entity e = At(id, start[id - 1]);
     engine.SpawnPhysical(e);
     serial.SpawnPhysical(e);
   }
@@ -683,17 +722,13 @@ TEST(ParallelEngineTest, SingleShardStreamingKeepsQueueModeAndElasticCharge) {
   ParallelEngineOptions opts = ShardedOptions(1);
   opts.engine.default_contract = {0.0, 0};  // every update mirrors
   opts.elastic.enabled = true;
-  opts.elastic.ewma_alpha = 1.0;  // the EWMA is the last run's load
   ParallelEngine engine(opts, nullptr);
   engine.shard_broker(0).SetQueueLimit(1024);
   constexpr EntityId kEntities = 8;
   constexpr net::NodeId kWatchers = 3;
   std::vector<SensedUpdate> batch;
   for (EntityId id = 1; id <= kEntities; ++id) {
-    Entity e;
-    e.id = id;
-    e.position = {double(id) * 100, 100, 50};
-    engine.SpawnPhysical(e);
+    engine.SpawnPhysical(At(id, {double(id) * 100, 100, 50}));
     batch.push_back({id, {double(id) * 100 + 5, 105, 50}, kMicrosPerSecond});
   }
   std::vector<std::string> delivered;  // entity keys, in delivery order
@@ -710,8 +745,11 @@ TEST(ParallelEngineTest, SingleShardStreamingKeepsQueueModeAndElasticCharge) {
   for (size_t i = 0; i < delivered.size(); ++i) {
     EXPECT_EQ(delivered[i], std::to_string(i / kWatchers + 1)) << i;
   }
-  // One unit per ingested update plus one per (queued) delivery.
-  EXPECT_EQ(engine.ShardLoads()[0], double(kEntities * (1 + kWatchers)));
+  // One unit per ingested update plus one per (queued) delivery, folded
+  // once into an EWMA that started at zero.
+  const double charged = double(kEntities * (1 + kWatchers));
+  EXPECT_DOUBLE_EQ(engine.ShardLoads()[0],
+                   ParallelEngine::kLoadEwmaAlpha * charged);
 }
 
 }  // namespace

@@ -188,7 +188,7 @@ TEST(BackingTest, ObjectStoreBackingRoundTrip) {
 class ReplicaFabricTest : public ::testing::Test {
  protected:
   void Build(int peers, ReplicaOptions opts = {}) {
-    store_ = std::make_unique<ReplicatedStore>(&transport_, &ring_, opts);
+    store_ = std::make_unique<ReplicatedStore>(&net_, &ring_, opts);
     for (int i = 0; i < peers; ++i) {
       rings_.push_back(store_->AddReplica("replica" + std::to_string(i)));
     }
@@ -240,8 +240,7 @@ class ReplicaFabricTest : public ::testing::Test {
 
   net::Simulator sim_;
   net::Network net_{&sim_};
-  net::SimTransport transport_{&net_, &sim_};
-  p2p::ChordRing ring_{&transport_};
+  p2p::ChordRing ring_{&net_};
   std::unique_ptr<ReplicatedStore> store_;
   std::vector<uint64_t> rings_;
 };
@@ -471,7 +470,7 @@ TEST_F(ReplicaFabricTest, AntiEntropyConvergesAfterPartitionHeals) {
 }
 
 TEST_F(ReplicaFabricTest, FabricRunsOverDurableKVStoreBackings) {
-  store_ = std::make_unique<ReplicatedStore>(&transport_, &ring_,
+  store_ = std::make_unique<ReplicatedStore>(&net_, &ring_,
                                              ReplicaOptions{});
   for (int i = 0; i < 3; ++i) {
     storage::KVStoreOptions kv;

@@ -112,7 +112,7 @@ TEST(BufferPoolTest, OversizePageNotCached) {
 
 TEST(ElasticExecutorTest, CompletesAllTasks) {
   net::Simulator sim;
-  ElasticOptions opts;
+  ElasticExecutorPoolOptions opts;
   ElasticExecutorPool pool(&sim, opts);
   int done = 0;
   for (int i = 0; i < 50; ++i) {
@@ -126,7 +126,7 @@ TEST(ElasticExecutorTest, CompletesAllTasks) {
 
 TEST(ElasticExecutorTest, ScalesOutUnderLoad) {
   net::Simulator sim;
-  ElasticOptions opts;
+  ElasticExecutorPoolOptions opts;
   opts.min_executors = 1;
   opts.max_executors = 16;
   ElasticExecutorPool pool(&sim, opts);
@@ -138,7 +138,7 @@ TEST(ElasticExecutorTest, ScalesOutUnderLoad) {
 
 TEST(ElasticExecutorTest, ScalesBackInWhenIdle) {
   net::Simulator sim;
-  ElasticOptions opts;
+  ElasticExecutorPoolOptions opts;
   opts.min_executors = 1;
   opts.max_executors = 8;
   opts.evaluate_every = 10 * kMicrosPerMilli;
@@ -156,7 +156,7 @@ TEST(ElasticExecutorTest, ScalesBackInWhenIdle) {
 TEST(ElasticExecutorTest, MoreExecutorsCutLatencyUnderBacklog) {
   auto p99_with_max = [](size_t max_executors) {
     net::Simulator sim;
-    ElasticOptions opts;
+    ElasticExecutorPoolOptions opts;
     opts.min_executors = 1;
     opts.max_executors = max_executors;
     opts.scale_out_delay = 10 * kMicrosPerMilli;

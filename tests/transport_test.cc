@@ -1,6 +1,7 @@
 // Tests of the transport abstraction (DESIGN.md §12): the cluster
-// config, the SimTransport veneer, and the real-socket backend run as
-// live transports inside this process (Unix-domain and TCP loopback).
+// config, the simulated `Network` driven through `Transport`, and the
+// real-socket backend run as live transports inside this process
+// (Unix-domain and TCP loopback).
 //
 // All suites here are named *Transport*/*ClusterConfig* — the TSan CI
 // step filters on `*Transport*` to race-check the socket backend.
@@ -78,51 +79,16 @@ TEST(ClusterConfigTest, CommentsAndBlankLinesIgnored) {
   EXPECT_EQ(cfg.nodes.size(), 1u);
 }
 
-// ----------------------------------------------------------- SimTransport
+// ------------------------------------------------ Network as a Transport
 
-TEST(SimTransportTest, MatchesDirectNetworkUse) {
-  // The same workload driven through the wrapper and through the raw
-  // Network must produce identical stats — the parity the migration of
-  // every protocol layer onto Transport rests on.
-  auto run = [](bool through_transport) {
-    Simulator sim;
-    Network net(&sim);
-    SimTransport transport(&net, &sim);
-    std::vector<Message> got;
-    auto record = [&got](const Message& m) { got.push_back(m); };
-    NodeId a = through_transport ? transport.AddNode(record)
-                                 : net.AddNode(record);
-    NodeId b = through_transport ? transport.AddNode(record)
-                                 : net.AddNode(record);
-    for (int i = 0; i < 10; ++i) {
-      Message m;
-      m.from = a;
-      m.to = b;
-      m.type = uint32_t(i);
-      m.payload = std::string(size_t(i) * 10, 'x');
-      Status s = through_transport ? transport.Send(std::move(m))
-                                   : net.Send(std::move(m));
-      EXPECT_TRUE(s.ok());
-    }
-    sim.Run();
-    NetworkStats out = net.stats();
-    EXPECT_EQ(got.size(), 10u);
-    return out;
-  };
-  NetworkStats direct = run(false);
-  NetworkStats wrapped = run(true);
-  EXPECT_EQ(direct.messages_sent, wrapped.messages_sent);
-  EXPECT_EQ(direct.messages_delivered, wrapped.messages_delivered);
-  EXPECT_EQ(direct.bytes_sent, wrapped.bytes_sent);
-  EXPECT_EQ(direct.bytes_delivered, wrapped.bytes_delivered);
-}
-
-TEST(SimTransportTest, ClockTimersAndFaultsDelegate) {
+TEST(NetworkTransportTest, ClockTimersAndFaultsThroughTheInterface) {
   Simulator sim;
   Network net(&sim);
-  SimTransport transport(&net, &sim);
+  Transport& transport = net;
+  int delivered = 0;
   NodeId a = transport.AddNode([](const Message&) {});
-  NodeId b = transport.AddNode([](const Message&) {});
+  NodeId b = transport.AddNode([&](const Message&) { ++delivered; });
+  EXPECT_EQ(transport.node_count(), 2u);
 
   Micros fired_at = -1;
   transport.After(250, [&] { fired_at = transport.Now(); });
@@ -130,15 +96,20 @@ TEST(SimTransportTest, ClockTimersAndFaultsDelegate) {
   EXPECT_EQ(fired_at, 250);
   EXPECT_EQ(transport.Now(), sim.Now());
 
+  Message m;
+  m.from = a;
+  m.to = b;
   transport.Partition(a, b);
   EXPECT_TRUE(transport.IsPartitioned(a, b));
-  EXPECT_TRUE(net.IsPartitioned(a, b));
+  EXPECT_FALSE(transport.Send(m).ok());
   transport.Heal(a, b);
-  EXPECT_FALSE(net.IsPartitioned(a, b));
+  EXPECT_FALSE(transport.IsPartitioned(a, b));
   transport.SetNodeUp(b, false);
-  EXPECT_FALSE(net.IsNodeUp(b));
+  EXPECT_FALSE(transport.IsNodeUp(b));
   transport.SetNodeUp(b, true);
-  EXPECT_EQ(transport.node_count(), net.node_count());
+  EXPECT_TRUE(transport.Send(m).ok());
+  sim.Run();
+  EXPECT_EQ(delivered, 1);
 }
 
 // -------------------------------------------------------- SocketTransport

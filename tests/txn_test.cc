@@ -110,13 +110,12 @@ class DistTxnTest : public ::testing::Test {
  protected:
   void SetUp() override {
     net_ = std::make_unique<net::Network>(&sim_);
-    transport_ = std::make_unique<net::SimTransport>(net_.get(), &sim_);
     for (int i = 0; i < 4; ++i) {
-      shards_.push_back(std::make_unique<ShardNode>(transport_.get()));
+      shards_.push_back(std::make_unique<ShardNode>(net_.get()));
     }
     std::vector<ShardNode*> ptrs;
     for (auto& s : shards_) ptrs.push_back(s.get());
-    system_ = std::make_unique<DistributedTxnSystem>(transport_.get(), ptrs);
+    system_ = std::make_unique<DistributedTxnSystem>(net_.get(), ptrs);
     // Uniform 10 ms inter-node latency.
     net_->default_link().latency = 10 * kMicrosPerMilli;
     net_->default_link().bandwidth_bytes_per_sec = 0;
@@ -124,7 +123,6 @@ class DistTxnTest : public ::testing::Test {
 
   net::Simulator sim_;
   std::unique_ptr<net::Network> net_;
-  std::unique_ptr<net::SimTransport> transport_;
   std::vector<std::unique_ptr<ShardNode>> shards_;
   std::unique_ptr<DistributedTxnSystem> system_;
 };
