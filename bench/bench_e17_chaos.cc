@@ -238,6 +238,9 @@ void BM_ChaosDeterminism(benchmark::State& state) {
   }
   state.counters["trace_match"] = trace_match ? 1.0 : 0.0;
   state.counters["metrics_match"] = metrics_match ? 1.0 : 0.0;
+  if (!trace_match || !metrics_match) {
+    state.SkipWithError("chaos scenario is not reproducible");
+  }
 }
 BENCHMARK(BM_ChaosDeterminism)->Unit(benchmark::kMillisecond);
 

@@ -4,39 +4,16 @@
 
 namespace deluge::net {
 
-Network::Network(Simulator* sim, uint64_t seed) : sim_(sim), rng_(seed) {
+Network::Network(Simulator* sim, uint64_t seed)
+    : Transport("net"), sim_(sim), rng_(seed) {
   for (QosClass c : kAllQosClasses) {
     send_us_[uint8_t(c)] =
         obs_.histogram("send_us", {{"qos", QosClassName(c)}});
   }
 }
 
-const NetworkStats& Network::stats() const {
-  snapshot_.messages_sent = messages_sent_->Value();
-  snapshot_.messages_delivered = messages_delivered_->Value();
-  snapshot_.messages_dropped = messages_dropped_->Value();
-  snapshot_.bytes_sent = bytes_sent_->Value();
-  snapshot_.bytes_delivered = bytes_delivered_->Value();
-  snapshot_.drops_node_down = drops_node_down_->Value();
-  snapshot_.drops_link_down = drops_link_down_->Value();
-  snapshot_.drops_burst_loss = drops_burst_loss_->Value();
-  return snapshot_;
-}
-
-void Network::ResetStats() {
-  messages_sent_->Reset();
-  messages_delivered_->Reset();
-  messages_dropped_->Reset();
-  bytes_sent_->Reset();
-  bytes_delivered_->Reset();
-  drops_node_down_->Reset();
-  drops_link_down_->Reset();
-  drops_burst_loss_->Reset();
-}
-
 NodeId Network::AddNode(Handler handler) {
   handlers_.push_back(std::move(handler));
-  node_up_.push_back(1);
   return static_cast<NodeId>(handlers_.size() - 1);
 }
 
@@ -61,33 +38,10 @@ Status Network::Send(Message msg) {
     return Status::InvalidArgument("unknown node in Send");
   }
   msg.sent_at = sim_->Now();
-  const uint64_t wire = msg.WireSize();
-  messages_sent_->Add(1);
-  bytes_sent_->Add(wire);
-
-  if (!node_up_[msg.from] || !node_up_[msg.to]) {
-    messages_dropped_->Add(1);
-    drops_node_down_->Add(1);
-    return Status::Unavailable("node down");
-  }
-  if (IsPartitioned(msg.from, msg.to)) {
-    messages_dropped_->Add(1);
-    return Status::Unavailable("partitioned");
-  }
-
-  LinkFault* fault = nullptr;
-  auto fit = faults_.find(PairKey(msg.from, msg.to));
-  if (fit != faults_.end()) fault = &fit->second;
-  if (fault != nullptr && fault->down) {
-    messages_dropped_->Add(1);
-    drops_link_down_->Add(1);
-    return Status::Unavailable("link down");
-  }
-  if (fault != nullptr && fault->has_burst && BurstDrop(*fault)) {
-    messages_dropped_->Add(1);
-    drops_burst_loss_->Add(1);
-    return Status::OK();  // silent correlated loss
-  }
+  Micros extra = 0;
+  bool deliver = false;
+  Status s = AdmitSend(msg, &rng_, &extra, &deliver);
+  if (!deliver) return s;
 
   LinkState& link = GetLink(msg.from, msg.to);
   if (rng_.Bernoulli(link.opts.drop_probability)) {
@@ -100,7 +54,7 @@ Status Network::Send(Message msg) {
   const Micros start = std::max(now, link.busy_until);
   Micros tx = 0;
   if (link.opts.bandwidth_bytes_per_sec > 0) {
-    tx = static_cast<Micros>(double(wire) /
+    tx = static_cast<Micros>(double(msg.WireSize()) /
                              link.opts.bandwidth_bytes_per_sec *
                              double(kMicrosPerSecond));
   }
@@ -111,95 +65,20 @@ Status Network::Send(Message msg) {
     jitter = rng_.UniformRange(-link.opts.jitter, link.opts.jitter);
     jitter = std::max<Micros>(jitter, -(link.opts.latency));
   }
-  const Micros extra = fault != nullptr ? fault->extra_latency : 0;
   const Micros deliver_at =
       link.busy_until + link.opts.latency + extra + jitter;
 
   NodeId to = msg.to;
-  sim_->At(deliver_at, [this, to, m = std::move(msg), wire]() {
-    // Re-check faults at delivery time: packets in flight when a
-    // partition/flap/crash starts are lost, matching TCP-less datagram
-    // semantics.
-    if (Blocked(m.from, m.to)) {
-      messages_dropped_->Add(1);
-      return;
-    }
+  sim_->At(deliver_at, [this, to, m = std::move(msg)]() {
+    // Packets in flight when a partition/flap/crash starts are lost,
+    // matching TCP-less datagram semantics.
+    if (DropIfBlocked(m)) return;
     messages_delivered_->Add(1);
-    bytes_delivered_->Add(wire);
+    bytes_delivered_->Add(m.WireSize());
     send_us_[uint8_t(m.qos)]->Record(sim_->Now() - m.sent_at);
     handlers_[to](m);
   });
   return Status::OK();
-}
-
-bool Network::Blocked(NodeId a, NodeId b) const {
-  if (!node_up_[a] || !node_up_[b]) return true;
-  if (IsPartitioned(a, b)) return true;
-  auto it = faults_.find(PairKey(a, b));
-  return it != faults_.end() && it->second.down;
-}
-
-bool Network::BurstDrop(LinkFault& fault) {
-  // Advance the two-state Markov chain one message step, then draw the
-  // state's loss rate.  All draws come from the network RNG, so a seeded
-  // run replays the exact same loss pattern.
-  if (fault.burst_bad) {
-    if (rng_.Bernoulli(fault.burst.p_bad_to_good)) fault.burst_bad = false;
-  } else {
-    if (rng_.Bernoulli(fault.burst.p_good_to_bad)) fault.burst_bad = true;
-  }
-  return rng_.Bernoulli(fault.burst_bad ? fault.burst.loss_bad
-                                        : fault.burst.loss_good);
-}
-
-void Network::SetNodeUp(NodeId n, bool up) {
-  if (n < node_up_.size()) node_up_[n] = up ? 1 : 0;
-}
-
-bool Network::IsNodeUp(NodeId n) const {
-  return n < node_up_.size() && node_up_[n] != 0;
-}
-
-void Network::SetLinkDown(NodeId a, NodeId b, bool down) {
-  GetFault(a, b).down = down;
-  GetFault(b, a).down = down;
-}
-
-bool Network::IsLinkDown(NodeId a, NodeId b) const {
-  auto it = faults_.find(PairKey(a, b));
-  return it != faults_.end() && it->second.down;
-}
-
-void Network::SetExtraLatency(NodeId a, NodeId b, Micros extra) {
-  GetFault(a, b).extra_latency = extra;
-  GetFault(b, a).extra_latency = extra;
-}
-
-void Network::SetBurstLoss(NodeId a, NodeId b, const BurstLossModel& model) {
-  for (LinkFault* f : {&GetFault(a, b), &GetFault(b, a)}) {
-    f->has_burst = true;
-    f->burst = model;
-    f->burst_bad = false;  // bursts start in the Good state
-  }
-}
-
-void Network::ClearBurstLoss(NodeId a, NodeId b) {
-  GetFault(a, b).has_burst = false;
-  GetFault(b, a).has_burst = false;
-}
-
-void Network::Partition(NodeId a, NodeId b) {
-  partitions_.insert(PairKey(a, b));
-  partitions_.insert(PairKey(b, a));
-}
-
-void Network::Heal(NodeId a, NodeId b) {
-  partitions_.erase(PairKey(a, b));
-  partitions_.erase(PairKey(b, a));
-}
-
-bool Network::IsPartitioned(NodeId a, NodeId b) const {
-  return partitions_.count(PairKey(a, b)) > 0;
 }
 
 }  // namespace deluge::net

@@ -49,7 +49,8 @@ void SetNonBlocking(int fd) {
 }  // namespace
 
 SocketTransport::SocketTransport(SocketTransportOptions opts)
-    : opts_(std::move(opts)),
+    : Transport("transport"),
+      opts_(std::move(opts)),
       local_ids_(opts_.config.nodes_of(opts_.local_process)),
       epoch_(obs::SteadyNowMicros()),
       rng_(opts_.seed) {}
@@ -256,13 +257,9 @@ Status SocketTransport::Send(Message msg) {
   const NodeSpec* dst = opts_.config.node(msg.to);
   if (dst == nullptr) return Status::InvalidArgument("unknown node in Send");
   msg.sent_at = Now();
-  const uint64_t wire = msg.WireSize();
-  messages_sent_->Add(1);
-  bytes_sent_->Add(wire);
-
   Micros extra = 0;
   bool deliver = false;
-  Status s = ApplySendFaults(msg, &extra, &deliver);
+  Status s = AdmitSend(msg, &rng_, &extra, &deliver);
   if (!deliver) return s;
 
   if (dst->process == opts_.local_process) {
@@ -287,47 +284,6 @@ Status SocketTransport::Send(Message msg) {
     return Status::Unavailable("send queue full");
   }
   return Status::OK();
-}
-
-Status SocketTransport::ApplySendFaults(const Message& msg, Micros* extra,
-                                        bool* deliver) {
-  *extra = 0;
-  *deliver = false;
-  std::lock_guard<std::mutex> lk(state_mu_);
-  if (nodes_down_.count(msg.from) > 0 || nodes_down_.count(msg.to) > 0) {
-    messages_dropped_->Add(1);
-    drops_node_down_->Add(1);
-    return Status::Unavailable("node down");
-  }
-  if (partitions_.count(PairKey(msg.from, msg.to)) > 0) {
-    messages_dropped_->Add(1);
-    return Status::Unavailable("partitioned");
-  }
-  auto it = faults_.find(PairKey(msg.from, msg.to));
-  LinkFault* fault = it != faults_.end() ? &it->second : nullptr;
-  if (fault != nullptr && fault->down) {
-    messages_dropped_->Add(1);
-    drops_link_down_->Add(1);
-    return Status::Unavailable("link down");
-  }
-  if (fault != nullptr && fault->has_burst && BurstDropLocked(*fault)) {
-    messages_dropped_->Add(1);
-    drops_burst_loss_->Add(1);
-    return Status::OK();  // silent correlated loss
-  }
-  *extra = fault != nullptr ? fault->extra_latency : 0;
-  *deliver = true;
-  return Status::OK();
-}
-
-bool SocketTransport::BurstDropLocked(LinkFault& fault) {
-  if (fault.burst_bad) {
-    if (rng_.Bernoulli(fault.burst.p_bad_to_good)) fault.burst_bad = false;
-  } else {
-    if (rng_.Bernoulli(fault.burst.p_good_to_bad)) fault.burst_bad = true;
-  }
-  return rng_.Bernoulli(fault.burst_bad ? fault.burst.loss_bad
-                                        : fault.burst.loss_good);
 }
 
 bool SocketTransport::SendToPeer(uint32_t process, OutFrame frame,
@@ -636,22 +592,7 @@ void SocketTransport::Dispatch(const Message& msg) {
     return;
   }
   Micros extra = 0;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    if (nodes_down_.count(msg.from) > 0 || nodes_down_.count(msg.to) > 0 ||
-        partitions_.count(PairKey(msg.from, msg.to)) > 0) {
-      messages_dropped_->Add(1);
-      return;
-    }
-    auto it = faults_.find(PairKey(msg.from, msg.to));
-    if (it != faults_.end()) {
-      if (it->second.down) {
-        messages_dropped_->Add(1);
-        return;
-      }
-      extra = it->second.extra_latency;
-    }
-  }
+  if (DropIfBlocked(msg, &extra)) return;
   if (extra > 0) {
     ScheduleDelivery(msg, extra);
     return;
@@ -659,25 +600,11 @@ void SocketTransport::Dispatch(const Message& msg) {
   DeliverNow(msg);
 }
 
-bool SocketTransport::ReceiveBlocked(const Message& msg) {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  if (nodes_down_.count(msg.from) > 0 || nodes_down_.count(msg.to) > 0) {
-    return true;
-  }
-  if (partitions_.count(PairKey(msg.from, msg.to)) > 0) return true;
-  auto it = faults_.find(PairKey(msg.from, msg.to));
-  return it != faults_.end() && it->second.down;
-}
-
 void SocketTransport::ScheduleDelivery(Message msg, Micros extra) {
   After(extra, [this, m = std::move(msg)] {
     // Re-check faults at delivery time, like the simulator: packets in
     // flight when a fault starts are lost.
-    if (ReceiveBlocked(m)) {
-      messages_dropped_->Add(1);
-      return;
-    }
-    DeliverNow(m);
+    if (!DropIfBlocked(m)) DeliverNow(m);
   });
 }
 
@@ -746,105 +673,6 @@ void SocketTransport::SendPings() {
     SendToPeer(peer->process, std::move(f), /*front=*/true);
   }
   After(opts_.ping_period, [this] { SendPings(); });
-}
-
-// --- fault hooks (local view) ------------------------------------------
-
-void SocketTransport::SetNodeUp(NodeId n, bool up) {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  if (up) {
-    nodes_down_.erase(n);
-  } else {
-    nodes_down_.insert(n);
-  }
-}
-
-bool SocketTransport::IsNodeUp(NodeId n) const {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  return nodes_down_.count(n) == 0;
-}
-
-void SocketTransport::Partition(NodeId a, NodeId b) {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  partitions_.insert(PairKey(a, b));
-  partitions_.insert(PairKey(b, a));
-}
-
-void SocketTransport::Heal(NodeId a, NodeId b) {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  partitions_.erase(PairKey(a, b));
-  partitions_.erase(PairKey(b, a));
-}
-
-bool SocketTransport::IsPartitioned(NodeId a, NodeId b) const {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  return partitions_.count(PairKey(a, b)) > 0;
-}
-
-void SocketTransport::SetLinkDown(NodeId a, NodeId b, bool down) {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  faults_[PairKey(a, b)].down = down;
-  faults_[PairKey(b, a)].down = down;
-}
-
-bool SocketTransport::IsLinkDown(NodeId a, NodeId b) const {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  auto it = faults_.find(PairKey(a, b));
-  return it != faults_.end() && it->second.down;
-}
-
-void SocketTransport::SetExtraLatency(NodeId a, NodeId b, Micros extra) {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  faults_[PairKey(a, b)].extra_latency = extra;
-  faults_[PairKey(b, a)].extra_latency = extra;
-}
-
-void SocketTransport::SetBurstLoss(NodeId a, NodeId b,
-                                   const BurstLossModel& model) {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  for (LinkFault* f : {&faults_[PairKey(a, b)], &faults_[PairKey(b, a)]}) {
-    f->has_burst = true;
-    f->burst = model;
-    f->burst_bad = false;
-  }
-}
-
-void SocketTransport::ClearBurstLoss(NodeId a, NodeId b) {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  faults_[PairKey(a, b)].has_burst = false;
-  faults_[PairKey(b, a)].has_burst = false;
-}
-
-// --- stats -------------------------------------------------------------
-
-const NetworkStats& SocketTransport::stats() const {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  snapshot_.messages_sent = messages_sent_->Value();
-  snapshot_.messages_delivered = messages_delivered_->Value();
-  snapshot_.messages_dropped = messages_dropped_->Value();
-  snapshot_.bytes_sent = bytes_sent_->Value();
-  snapshot_.bytes_delivered = bytes_delivered_->Value();
-  snapshot_.drops_node_down = drops_node_down_->Value();
-  snapshot_.drops_link_down = drops_link_down_->Value();
-  snapshot_.drops_burst_loss = drops_burst_loss_->Value();
-  return snapshot_;
-}
-
-void SocketTransport::ResetStats() {
-  messages_sent_->Reset();
-  messages_delivered_->Reset();
-  messages_dropped_->Reset();
-  bytes_sent_->Reset();
-  bytes_delivered_->Reset();
-  drops_node_down_->Reset();
-  drops_link_down_->Reset();
-  drops_burst_loss_->Reset();
-  frames_sent_->Reset();
-  frames_received_->Reset();
-  wire_bytes_sent_->Reset();
-  wire_bytes_received_->Reset();
-  reconnects_->Reset();
-  rtt_us_->Reset();
 }
 
 }  // namespace deluge::net

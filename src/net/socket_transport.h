@@ -14,7 +14,6 @@
 #include <queue>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/retry.h"
@@ -86,12 +85,11 @@ struct SocketTransportOptions {
 ///
 /// Clock: `Now()` is monotonic wall-clock micros since construction.
 ///
-/// Fault hooks model a *local view*: SetNodeUp(n, false) makes this
-/// process drop traffic to and from `n` (send- and receive-side
-/// filters), which from the local protocols' perspective is exactly a
-/// crashed peer; partitions, link flaps, extra latency, and burst loss
-/// filter the same way.  Counted in the same NetworkStats buckets as
-/// the simulator so chaos experiments read identically.
+/// Fault hooks model a *local view*: `Send` filters through
+/// `AdmitSend`, and received frames and held deliveries through
+/// `DropIfBlocked`, so SetNodeUp(n, false) makes this process drop
+/// traffic to and from `n` — from the local protocols' perspective,
+/// exactly a crashed peer.
 class SocketTransport final : public Transport {
  public:
   explicit SocketTransport(SocketTransportOptions opts);
@@ -119,20 +117,6 @@ class SocketTransport final : public Transport {
   Micros Now() const override;
   void After(Micros delay, std::function<void()> fn) override;
   size_t node_count() const override;
-
-  void SetNodeUp(NodeId n, bool up) override;
-  bool IsNodeUp(NodeId n) const override;
-  void Partition(NodeId a, NodeId b) override;
-  void Heal(NodeId a, NodeId b) override;
-  bool IsPartitioned(NodeId a, NodeId b) const override;
-  void SetLinkDown(NodeId a, NodeId b, bool down) override;
-  bool IsLinkDown(NodeId a, NodeId b) const override;
-  void SetExtraLatency(NodeId a, NodeId b, Micros extra) override;
-  void SetBurstLoss(NodeId a, NodeId b, const BurstLossModel& model) override;
-  void ClearBurstLoss(NodeId a, NodeId b) override;
-
-  const NetworkStats& stats() const override;
-  void ResetStats() override;
 
   const ClusterConfig& config() const { return opts_.config; }
   uint32_t local_process() const { return opts_.local_process; }
@@ -185,18 +169,6 @@ class SocketTransport final : public Transport {
     }
   };
 
-  struct LinkFault {
-    bool down = false;
-    Micros extra_latency = 0;
-    bool has_burst = false;
-    BurstLossModel burst;
-    bool burst_bad = false;
-  };
-
-  static uint64_t PairKey(NodeId a, NodeId b) {
-    return (uint64_t(a) << 32) | b;
-  }
-
   Status Listen();
   void EventLoop();
   void SenderLoop(Peer* peer);
@@ -222,14 +194,6 @@ class SocketTransport final : public Transport {
   void Dispatch(const Message& msg);
   void HandleControl(const Message& msg);
 
-  /// Send-side fault filter, counting into the sim-compatible stats
-  /// buckets.  Returns the status Send should report: OK-and-deliver
-  /// only when `*deliver` is true.
-  Status ApplySendFaults(const Message& msg, Micros* extra, bool* deliver);
-  /// Receive-side filter (remote frames): true = drop.
-  bool ReceiveBlocked(const Message& msg);
-  bool BurstDropLocked(LinkFault& fault);
-
   /// Schedules `msg` for handler dispatch on the strand after `extra`.
   void ScheduleDelivery(Message msg, Micros extra);
   /// Counts and invokes the destination handler (event strand only).
@@ -243,13 +207,10 @@ class SocketTransport final : public Transport {
   std::vector<NodeId> local_ids_;  // config order
   Micros epoch_;                   // SteadyNowMicros at construction
 
-  mutable std::mutex state_mu_;  // handlers, faults, timers
+  mutable std::mutex state_mu_;  // handlers, timers
   std::unordered_map<NodeId, Handler> handlers_;
   size_t next_local_ = 0;
-  std::unordered_set<NodeId> nodes_down_;
-  std::unordered_set<uint64_t> partitions_;
-  std::unordered_map<uint64_t, LinkFault> faults_;
-  Rng rng_;
+  Rng rng_;  // burst-loss draws, taken under the fault overlay's lock
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_;
   uint64_t timer_seq_ = 0;
 
@@ -263,22 +224,12 @@ class SocketTransport final : public Transport {
   std::condition_variable tasks_cv_;
   int live_tasks_ = 0;
 
-  obs::StatsScope obs_{"transport"};
-  obs::Counter* messages_sent_ = obs_.counter("messages_sent");
-  obs::Counter* messages_delivered_ = obs_.counter("messages_delivered");
-  obs::Counter* messages_dropped_ = obs_.counter("messages_dropped");
-  obs::Counter* bytes_sent_ = obs_.counter("bytes_sent");
-  obs::Counter* bytes_delivered_ = obs_.counter("bytes_delivered");
-  obs::Counter* drops_node_down_ = obs_.counter("drops_node_down");
-  obs::Counter* drops_link_down_ = obs_.counter("drops_link_down");
-  obs::Counter* drops_burst_loss_ = obs_.counter("drops_burst_loss");
   obs::Counter* frames_sent_ = obs_.counter("frames_sent");
   obs::Counter* frames_received_ = obs_.counter("frames_received");
   obs::Counter* wire_bytes_sent_ = obs_.counter("wire_bytes_sent");
   obs::Counter* wire_bytes_received_ = obs_.counter("wire_bytes_received");
   obs::Counter* reconnects_ = obs_.counter("reconnects");
   obs::ConcurrentHistogram* rtt_us_ = obs_.histogram("rtt_us");
-  mutable NetworkStats snapshot_;
 };
 
 }  // namespace deluge::net

@@ -115,101 +115,6 @@ TEST(FaultScheduleTest, UnpairedPartitionAndHealWithObserver) {
   EXPECT_EQ(schedule.stats().total, 2u);
 }
 
-// ------------------------------------------------------- network fault API
-
-class NetFaultTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    net_ = std::make_unique<net::Network>(&sim_);
-    a_ = net_->AddNode([](const net::Message&) {});
-    b_ = net_->AddNode([&](const net::Message&) {
-      ++delivered_;
-      last_delivery_at_ = sim_.Now();
-    });
-    net_->default_link().latency = 5 * kMicrosPerMilli;
-    net_->default_link().bandwidth_bytes_per_sec = 0;
-  }
-
-  Status Send() {
-    net::Message m;
-    m.from = a_;
-    m.to = b_;
-    m.type = 1;
-    m.payload = "x";
-    return net_->Send(std::move(m));
-  }
-
-  net::Simulator sim_;
-  std::unique_ptr<net::Network> net_;
-  net::NodeId a_ = 0, b_ = 0;
-  int delivered_ = 0;
-  Micros last_delivery_at_ = -1;
-};
-
-TEST_F(NetFaultTest, CrashedNodeRejectsTrafficUntilRestart) {
-  net_->SetNodeUp(b_, false);
-  EXPECT_TRUE(Send().IsUnavailable());
-  sim_.Run();
-  EXPECT_EQ(delivered_, 0);
-  EXPECT_EQ(net_->stats().drops_node_down, 1u);
-
-  net_->SetNodeUp(b_, true);
-  EXPECT_TRUE(Send().ok());
-  sim_.Run();
-  EXPECT_EQ(delivered_, 1);
-}
-
-TEST_F(NetFaultTest, LinkDownRejectsAndInFlightMessagesAreLost) {
-  // Accepted at t=0 (link healthy), but the link flaps at 1 ms while the
-  // message needs 5 ms to arrive: datagram semantics, it is lost.
-  EXPECT_TRUE(Send().ok());
-  sim_.At(1 * kMicrosPerMilli, [&] { net_->SetLinkDown(a_, b_, true); });
-  sim_.Run();
-  EXPECT_EQ(delivered_, 0);
-  EXPECT_EQ(net_->stats().messages_dropped, 1u);
-
-  EXPECT_TRUE(Send().IsUnavailable());  // down link rejects at send time
-  EXPECT_EQ(net_->stats().drops_link_down, 1u);
-  net_->SetLinkDown(a_, b_, false);
-  EXPECT_TRUE(Send().ok());
-  sim_.Run();
-  EXPECT_EQ(delivered_, 1);
-}
-
-TEST_F(NetFaultTest, LatencySpikeDelaysDelivery) {
-  net_->SetExtraLatency(a_, b_, 100 * kMicrosPerMilli);
-  EXPECT_TRUE(Send().ok());
-  sim_.Run();
-  ASSERT_EQ(delivered_, 1);
-  EXPECT_EQ(last_delivery_at_, 105 * kMicrosPerMilli);  // 5 ms + spike
-
-  net_->SetExtraLatency(a_, b_, 0);
-  Micros sent_at = sim_.Now();
-  EXPECT_TRUE(Send().ok());
-  sim_.Run();
-  EXPECT_EQ(last_delivery_at_, sent_at + 5 * kMicrosPerMilli);
-}
-
-TEST_F(NetFaultTest, BurstLossDropsSilently) {
-  // A chain that enters Bad on the first message and never leaves: every
-  // send is accepted (silent loss) yet nothing arrives.
-  net::BurstLossModel model;
-  model.p_good_to_bad = 1.0;
-  model.p_bad_to_good = 0.0;
-  model.loss_good = 0.0;
-  model.loss_bad = 1.0;
-  net_->SetBurstLoss(a_, b_, model);
-  for (int i = 0; i < 20; ++i) EXPECT_TRUE(Send().ok());
-  sim_.Run();
-  EXPECT_EQ(delivered_, 0);
-  EXPECT_EQ(net_->stats().drops_burst_loss, 20u);
-
-  net_->ClearBurstLoss(a_, b_);
-  EXPECT_TRUE(Send().ok());
-  sim_.Run();
-  EXPECT_EQ(delivered_, 1);
-}
-
 // -------------------------------------------------- graceful degradation
 
 TEST(BrokerSheddingTest, BoundedQueueShedsLowestClassFirst) {

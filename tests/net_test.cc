@@ -138,39 +138,6 @@ TEST_F(NetworkTest, MessagesQueueBehindEachOther) {
   EXPECT_EQ(sim_.Now(), kMicrosPerSecond);
 }
 
-TEST_F(NetworkTest, PartitionBlocksAndHealRestores) {
-  NodeId a = AddRecorder();
-  NodeId b = AddRecorder();
-  net_.Partition(a, b);
-  EXPECT_TRUE(net_.IsPartitioned(a, b));
-  EXPECT_TRUE(net_.IsPartitioned(b, a));
-
-  Status s = net_.Send({a, b, 0, "x", 0, 0});
-  EXPECT_TRUE(s.IsUnavailable());
-  sim_.Run();
-  EXPECT_TRUE(received_.empty());
-
-  net_.Heal(a, b);
-  ASSERT_TRUE(net_.Send({a, b, 0, "x", 0, 0}).ok());
-  sim_.Run();
-  EXPECT_EQ(received_.size(), 1u);
-}
-
-TEST_F(NetworkTest, InFlightMessagesLostWhenPartitionStarts) {
-  NodeId a = AddRecorder();
-  NodeId b = AddRecorder();
-  LinkOptions link;
-  link.latency = 10 * kMicrosPerMilli;
-  link.bandwidth_bytes_per_sec = 0;
-  net_.SetLink(a, b, link);
-
-  ASSERT_TRUE(net_.Send({a, b, 0, "x", 0, 0}).ok());
-  sim_.At(1 * kMicrosPerMilli, [&] { net_.Partition(a, b); });
-  sim_.Run();
-  EXPECT_TRUE(received_.empty());
-  EXPECT_EQ(net_.stats().messages_dropped, 1u);
-}
-
 TEST_F(NetworkTest, LossyLinkDropsSomeMessages) {
   NodeId a = AddRecorder();
   NodeId b = AddRecorder();

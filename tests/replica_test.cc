@@ -122,21 +122,64 @@ TEST(PhiAccrualDetectorTest, UnknownPeerIsMaximallySuspect) {
 
 // -------------------------------------------------------------- backings
 
-TEST(BackingTest, MemoryBackingScanIsPrefixBounded) {
-  MemoryBacking b;
-  ASSERT_TRUE(b.Put("d!a", "1").ok());
-  ASSERT_TRUE(b.Put("d!b", "2").ok());
-  ASSERT_TRUE(b.Put("h!x", "3").ok());
-  std::vector<std::string> keys;
-  ASSERT_TRUE(
-      b.Scan("d!", [&](const std::string& k, const std::string&) {
-        keys.push_back(k);
-      }).ok());
-  EXPECT_EQ(keys, (std::vector<std::string>{"d!a", "d!b"}));
-  ASSERT_TRUE(b.Delete("d!a").ok());
+enum class BackingKind { kMemory, kKVStore, kObjectStore };
+
+/// The `Backing` contract, run over every implementation.
+class BackingConformanceTest : public ::testing::TestWithParam<BackingKind> {
+ protected:
+  void SetUp() override {
+    switch (GetParam()) {
+      case BackingKind::kMemory:
+        backing_ = std::make_unique<MemoryBacking>();
+        break;
+      case BackingKind::kKVStore: {
+        storage::KVStoreOptions opts;
+        opts.dir = TempDir("kv_conformance");
+        auto opened = KVStoreBacking::Open(opts);
+        ASSERT_TRUE(opened.ok());
+        backing_ = std::move(opened).value();
+        break;
+      }
+      case BackingKind::kObjectStore:
+        backing_ = std::make_unique<ObjectStoreBacking>();
+        break;
+    }
+  }
+
+  std::unique_ptr<Backing> backing_;
+};
+
+TEST_P(BackingConformanceTest, PutGetDeleteAndPrefixScan) {
+  Backing& b = *backing_;
+  ASSERT_TRUE(b.Put("d!b", "1").ok());
+  ASSERT_TRUE(b.Put("h!x", "2").ok());
+  ASSERT_TRUE(b.Put("d!a", "3").ok());
+  ASSERT_TRUE(b.Put("d!a", "4").ok());  // overwrite
   std::string v;
+  ASSERT_TRUE(b.Get("d!a", &v).ok());
+  EXPECT_EQ(v, "4");
+  EXPECT_TRUE(b.Get("d!c", &v).IsNotFound());
+
+  std::vector<std::string> rows;
+  ASSERT_TRUE(b.Scan("d!", [&](const std::string& k, const std::string& r) {
+                 rows.push_back(k + "=" + r);
+               }).ok());
+  EXPECT_EQ(rows, (std::vector<std::string>{"d!a=4", "d!b=1"}));
+
+  ASSERT_TRUE(b.Delete("d!a").ok());
   EXPECT_TRUE(b.Get("d!a", &v).IsNotFound());
+  EXPECT_TRUE(b.Delete("d!a").ok());  // deleting an absent key is OK
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackings, BackingConformanceTest,
+    ::testing::Values(BackingKind::kMemory, BackingKind::kKVStore,
+                      BackingKind::kObjectStore),
+    [](const ::testing::TestParamInfo<BackingKind>& info) {
+      return std::string(info.param == BackingKind::kMemory    ? "Memory"
+                         : info.param == BackingKind::kKVStore ? "KVStore"
+                                                               : "ObjectStore");
+    });
 
 TEST(BackingTest, KVStoreBackingSurvivesReopen) {
   storage::KVStoreOptions opts;
@@ -166,21 +209,6 @@ TEST(BackingTest, KVStoreBackingSurvivesReopen) {
                   keys.push_back(k);
                 }).ok());
   EXPECT_EQ(keys, (std::vector<std::string>{"d!k1"}));
-}
-
-TEST(BackingTest, ObjectStoreBackingRoundTrip) {
-  ObjectStoreBacking b;
-  ASSERT_TRUE(b.Put("d!obj", "blob").ok());
-  std::string v;
-  ASSERT_TRUE(b.Get("d!obj", &v).ok());
-  EXPECT_EQ(v, "blob");
-  size_t n = 0;
-  ASSERT_TRUE(
-      b.Scan("d!", [&](const std::string&, const std::string&) { ++n; }).ok());
-  EXPECT_EQ(n, 1u);
-  ASSERT_TRUE(b.Delete("d!obj").ok());
-  EXPECT_TRUE(b.Get("d!obj", &v).IsNotFound());
-  EXPECT_TRUE(b.Delete("d!obj").ok());  // idempotent
 }
 
 // ---------------------------------------------------------------- fabric

@@ -1,7 +1,8 @@
 // Tests of the transport abstraction (DESIGN.md §12): the cluster
-// config, the simulated `Network` driven through `Transport`, and the
+// config, the simulated `Network` driven through `Transport`, the
 // real-socket backend run as live transports inside this process
-// (Unix-domain and TCP loopback).
+// (Unix-domain and TCP loopback), and one fault-hook suite run on both
+// backends.
 //
 // All suites here are named *Transport*/*ClusterConfig* — the TSan CI
 // step filters on `*Transport*` to race-check the socket backend.
@@ -81,7 +82,7 @@ TEST(ClusterConfigTest, CommentsAndBlankLinesIgnored) {
 
 // ------------------------------------------------ Network as a Transport
 
-TEST(NetworkTransportTest, ClockTimersAndFaultsThroughTheInterface) {
+TEST(NetworkTransportTest, ClockTimersAndSendThroughTheInterface) {
   Simulator sim;
   Network net(&sim);
   Transport& transport = net;
@@ -99,14 +100,6 @@ TEST(NetworkTransportTest, ClockTimersAndFaultsThroughTheInterface) {
   Message m;
   m.from = a;
   m.to = b;
-  transport.Partition(a, b);
-  EXPECT_TRUE(transport.IsPartitioned(a, b));
-  EXPECT_FALSE(transport.Send(m).ok());
-  transport.Heal(a, b);
-  EXPECT_FALSE(transport.IsPartitioned(a, b));
-  transport.SetNodeUp(b, false);
-  EXPECT_FALSE(transport.IsNodeUp(b));
-  transport.SetNodeUp(b, true);
   EXPECT_TRUE(transport.Send(m).ok());
   sim.Run();
   EXPECT_EQ(delivered, 1);
@@ -307,56 +300,6 @@ TEST(SocketTransportTest, TimersFireOnWallClock) {
   t.Stop();
 }
 
-TEST(SocketTransportTest, NodeDownAndPartitionFilterLocally) {
-  TempDir dir;
-  ClusterConfig cfg;
-  cfg.processes.push_back({0, {"", 0, dir.sock("f.sock")}});
-  cfg.nodes.push_back({0, 0, "a", ""});
-  cfg.nodes.push_back({1, 0, "b", ""});
-  ThreadPool pool(4);
-  SocketTransportOptions opts;
-  opts.config = cfg;
-  opts.local_process = 0;
-  opts.pool = &pool;
-  SocketTransport t(std::move(opts));
-  std::atomic<int> got{0};
-  NodeId a = t.AddNode([&](const Message&) { got.fetch_add(1); });
-  NodeId b = t.AddNode([&](const Message&) { got.fetch_add(1); });
-  ASSERT_TRUE(t.Start().ok());
-
-  auto send = [&] {
-    Message m;
-    m.from = a;
-    m.to = b;
-    m.type = 1;
-    m.payload = std::string("x");
-    return t.Send(std::move(m));
-  };
-
-  t.SetNodeUp(b, false);
-  EXPECT_FALSE(t.IsNodeUp(b));
-  EXPECT_FALSE(send().ok());
-  t.SetNodeUp(b, true);
-
-  t.Partition(a, b);
-  EXPECT_TRUE(t.IsPartitioned(a, b));
-  EXPECT_FALSE(send().ok());
-  t.Heal(a, b);
-
-  t.SetLinkDown(a, b, true);
-  EXPECT_TRUE(t.IsLinkDown(a, b));
-  EXPECT_FALSE(send().ok());
-  t.SetLinkDown(a, b, false);
-
-  EXPECT_TRUE(send().ok());
-  EXPECT_TRUE(WaitUntil([&] { return got.load() == 1; }));
-  const NetworkStats& s = t.stats();
-  EXPECT_EQ(s.messages_dropped, 3u);
-  EXPECT_EQ(s.drops_node_down, 1u);
-  EXPECT_EQ(s.drops_link_down, 1u);
-  t.Stop();
-}
-
 TEST(SocketTransportTest, SendToUnknownNodeRejected) {
   TempDir dir;
   ClusterConfig cfg;
@@ -512,6 +455,214 @@ TEST(SocketTransportTest, FramesStayInOrderAcrossInlineAndQueuedSends) {
   ExerciseOrderedSends(
       PairConfig({"127.0.0.1", pa, ""}, {"127.0.0.1", pb, ""}));
 }
+
+// ------------------------------------------------ fault hooks, both backends
+
+enum class Backend { kSim, kSocket };
+
+/// The fault hooks through either backend, node `a_` sending to node
+/// `b_`: sim links of `kLink` without serialization delay, or one
+/// socket process whose two nodes talk on its own strand.
+class TransportFaultTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  static constexpr Micros kLink = 5 * kMicrosPerMilli;
+
+  void SetUp() override {
+    if (sim()) {
+      net_ = std::make_unique<Network>(&sim_);
+      net_->default_link().latency = kLink;
+      net_->default_link().bandwidth_bytes_per_sec = 0;
+      t_ = net_.get();
+    } else {
+      SocketTransportOptions opts;
+      opts.config.processes.push_back({0, {"", 0, dir_.sock("fault.sock")}});
+      opts.config.nodes.push_back({0, 0, "a", ""});
+      opts.config.nodes.push_back({1, 0, "b", ""});
+      opts.pool = &pool_;
+      sock_ = std::make_unique<SocketTransport>(std::move(opts));
+      t_ = sock_.get();
+    }
+    a_ = t_->AddNode([](const Message&) {});
+    b_ = t_->AddNode([this](const Message&) {
+      last_delivery_at_.store(t_->Now());
+      delivered_.fetch_add(1);
+    });
+    if (sock_) {
+      ASSERT_TRUE(sock_->Start().ok());
+    }
+  }
+  void TearDown() override {
+    if (sock_) sock_->Stop();
+  }
+
+  bool sim() const { return GetParam() == Backend::kSim; }
+
+  Status Send(NodeId from, NodeId to) {
+    Message m;
+    m.from = from;
+    m.to = to;
+    m.type = 1;
+    m.payload = std::string("x");
+    return t_->Send(std::move(m));
+  }
+
+  /// Runs what falls due within `horizon`: the whole sim queue, or on
+  /// sockets every timer up to a marker set `horizon` from now (timers
+  /// fire in deadline order).
+  void Settle(Micros horizon = 50 * kMicrosPerMilli) {
+    if (sim()) {
+      sim_.Run();
+      return;
+    }
+    const int want = markers_.load() + 1;
+    t_->After(horizon, [this] { markers_.fetch_add(1); });
+    ASSERT_TRUE(WaitUntil([&] { return markers_.load() >= want; }));
+  }
+
+  Simulator sim_;
+  std::unique_ptr<Network> net_;
+  TempDir dir_;
+  ThreadPool pool_{4};
+  std::unique_ptr<SocketTransport> sock_;
+  Transport* t_ = nullptr;
+  NodeId a_ = 0, b_ = 0;
+  std::atomic<int> delivered_{0};
+  std::atomic<Micros> last_delivery_at_{-1};
+  std::atomic<int> markers_{0};
+};
+
+TEST_P(TransportFaultTest, CrashedNodeRejectsTrafficUntilRestart) {
+  t_->SetNodeUp(b_, false);
+  EXPECT_FALSE(t_->IsNodeUp(b_));
+  EXPECT_TRUE(Send(a_, b_).IsUnavailable());
+  Settle();
+  EXPECT_EQ(delivered_.load(), 0);
+  EXPECT_EQ(t_->stats().drops_node_down, 1u);
+  EXPECT_EQ(t_->stats().messages_dropped, 1u);
+
+  t_->SetNodeUp(b_, true);
+  EXPECT_TRUE(t_->IsNodeUp(b_));
+  EXPECT_TRUE(Send(a_, b_).ok());
+  Settle();
+  EXPECT_EQ(delivered_.load(), 1);
+}
+
+TEST_P(TransportFaultTest, PartitionBlocksBothDirectionsUntilHeal) {
+  t_->Partition(a_, b_);
+  EXPECT_TRUE(t_->IsPartitioned(a_, b_));
+  EXPECT_TRUE(t_->IsPartitioned(b_, a_));
+  EXPECT_TRUE(Send(a_, b_).IsUnavailable());
+  EXPECT_TRUE(Send(b_, a_).IsUnavailable());
+  Settle();
+  EXPECT_EQ(delivered_.load(), 0);
+  EXPECT_EQ(t_->stats().messages_dropped, 2u);
+
+  t_->Heal(a_, b_);
+  EXPECT_FALSE(t_->IsPartitioned(a_, b_));
+  EXPECT_FALSE(t_->IsPartitioned(b_, a_));
+  EXPECT_TRUE(Send(a_, b_).ok());
+  Settle();
+  EXPECT_EQ(delivered_.load(), 1);
+}
+
+TEST_P(TransportFaultTest, DownLinkRejectsAtSend) {
+  t_->SetLinkDown(a_, b_, true);
+  EXPECT_TRUE(t_->IsLinkDown(a_, b_));
+  EXPECT_TRUE(t_->IsLinkDown(b_, a_));
+  EXPECT_TRUE(Send(a_, b_).IsUnavailable());
+  EXPECT_EQ(t_->stats().drops_link_down, 1u);
+  EXPECT_EQ(t_->stats().messages_dropped, 1u);
+
+  t_->SetLinkDown(a_, b_, false);
+  EXPECT_FALSE(t_->IsLinkDown(a_, b_));
+  EXPECT_TRUE(Send(a_, b_).ok());
+  Settle();
+  EXPECT_EQ(delivered_.load(), 1);
+}
+
+TEST_P(TransportFaultTest, InFlightMessagesLostWhenFaultStarts) {
+  // An injected delay holds each message; a fault that starts meanwhile
+  // loses it at delivery time (datagram semantics).  The loss counts as
+  // a drop, but under no send-time cause.  The hold is long enough that
+  // the fault starts first even on a loaded host.
+  constexpr Micros kHold = 200 * kMicrosPerMilli;
+  struct Fault {
+    std::function<void()> start, end;
+  };
+  const std::vector<Fault> faults = {
+      {[&] { t_->Partition(a_, b_); }, [&] { t_->Heal(a_, b_); }},
+      {[&] { t_->SetLinkDown(a_, b_, true); },
+       [&] { t_->SetLinkDown(a_, b_, false); }},
+      {[&] { t_->SetNodeUp(b_, false); }, [&] { t_->SetNodeUp(b_, true); }},
+  };
+  t_->SetExtraLatency(a_, b_, kHold);
+  for (const Fault& fault : faults) {
+    ASSERT_TRUE(Send(a_, b_).ok());
+    fault.start();
+    Settle(2 * kHold);
+    fault.end();
+  }
+  EXPECT_EQ(delivered_.load(), 0);
+  const NetworkStats s = t_->stats();
+  EXPECT_EQ(s.messages_dropped, 3u);
+  EXPECT_EQ(s.drops_node_down + s.drops_link_down + s.drops_burst_loss, 0u);
+
+  EXPECT_TRUE(Send(a_, b_).ok());  // every fault has ended
+  Settle(2 * kHold);
+  EXPECT_EQ(delivered_.load(), 1);
+}
+
+TEST_P(TransportFaultTest, ExtraLatencyDelaysDelivery) {
+  // Exact on the sim; on sockets the held delivery fires no earlier.
+  constexpr Micros kExtra = 30 * kMicrosPerMilli;
+  t_->SetExtraLatency(a_, b_, kExtra);
+  Micros sent_at = t_->Now();
+  ASSERT_TRUE(Send(a_, b_).ok());
+  Settle();
+  ASSERT_EQ(delivered_.load(), 1);
+  if (sim()) {
+    EXPECT_EQ(last_delivery_at_.load(), sent_at + kLink + kExtra);
+  } else {
+    EXPECT_GE(last_delivery_at_.load() - sent_at, kExtra);
+  }
+
+  t_->SetExtraLatency(a_, b_, 0);
+  sent_at = t_->Now();
+  ASSERT_TRUE(Send(a_, b_).ok());
+  Settle();
+  ASSERT_EQ(delivered_.load(), 2);
+  if (sim()) {
+    EXPECT_EQ(last_delivery_at_.load(), sent_at + kLink);
+  }
+}
+
+TEST_P(TransportFaultTest, BurstLossDropsSilentlyUntilCleared) {
+  // A chain that enters Bad on the first message and never leaves: every
+  // send is accepted (silent loss) yet nothing arrives.
+  BurstLossModel model;
+  model.p_good_to_bad = 1.0;
+  model.p_bad_to_good = 0.0;
+  model.loss_good = 0.0;
+  model.loss_bad = 1.0;
+  t_->SetBurstLoss(a_, b_, model);
+  for (int i = 0; i < 20; ++i) EXPECT_TRUE(Send(a_, b_).ok());
+  Settle();
+  EXPECT_EQ(delivered_.load(), 0);
+  EXPECT_EQ(t_->stats().drops_burst_loss, 20u);
+  EXPECT_EQ(t_->stats().messages_dropped, 20u);
+
+  t_->ClearBurstLoss(a_, b_);
+  EXPECT_TRUE(Send(a_, b_).ok());
+  Settle();
+  EXPECT_EQ(delivered_.load(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, TransportFaultTest,
+                         ::testing::Values(Backend::kSim, Backend::kSocket),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           return std::string(
+                               info.param == Backend::kSim ? "Sim" : "Socket");
+                         });
 
 // ------------------------------------- replica fabric over real sockets
 
