@@ -28,15 +28,6 @@ FaultSchedule::FaultSchedule(net::Transport* net) : net_(net) {
         "injected",
         {{"kind", std::string(FaultKindName(FaultKind(k)))}});
   }
-  total_ = obs_.counter("total");
-}
-
-const ChaosStats& FaultSchedule::stats() const {
-  for (size_t k = 0; k < 10; ++k) {
-    snapshot_.injected[k] = injected_[k]->Value();
-  }
-  snapshot_.total = total_->Value();
-  return snapshot_;
 }
 
 FaultSchedule& FaultSchedule::Add(const FaultEvent& event) {

@@ -40,9 +40,9 @@ struct FaultEvent {
   net::BurstLossModel burst{};   ///< burst-loss windows
 };
 
-/// Counters per fault kind (indexable by FaultKind).
+/// Faults applied; the per-kind counts are the registry's
+/// `chaos.injected{kind=…}` counters.
 struct ChaosStats {
-  uint64_t injected[10] = {};
   uint64_t total = 0;
 };
 
@@ -128,8 +128,7 @@ class FaultSchedule {
   const std::vector<std::string>& trace() const { return trace_; }
   /// Order-sensitive 64-bit fingerprint of the applied-fault trace.
   uint64_t TraceHash() const;
-  /// Registry-backed snapshot, refreshed on every call.
-  const ChaosStats& stats() const;
+  ChaosStats stats() const { return view_.Read(); }
 
  private:
   void Apply(const FaultEvent& event);
@@ -140,8 +139,8 @@ class FaultSchedule {
   FaultObserver observer_;
   obs::StatsScope obs_{"chaos"};
   obs::Counter* injected_[10];  // indexed by FaultKind, {kind=…} labels
-  obs::Counter* total_;
-  mutable ChaosStats snapshot_;
+  obs::StatsView<ChaosStats> view_{obs_};
+  obs::Counter* total_ = view_.counter("total", &ChaosStats::total);
   bool armed_ = false;
 };
 

@@ -13,25 +13,6 @@ CoherencyFilter::CoherencyFilter(CoherencyContract default_contract)
   }
 }
 
-const CoherencyStats& CoherencyFilter::stats() const {
-  snapshot_.updates_offered = updates_offered_->Value();
-  snapshot_.updates_sent = updates_sent_->Value();
-  snapshot_.updates_suppressed = updates_suppressed_->Value();
-  snapshot_.bytes_sent = bytes_sent_->Value();
-  snapshot_.deviation_sum = deviation_sum_->Value();
-  snapshot_.deviation_max = deviation_max_->Value();
-  return snapshot_;
-}
-
-void CoherencyFilter::ResetStats() {
-  updates_offered_->Reset();
-  updates_sent_->Reset();
-  updates_suppressed_->Reset();
-  bytes_sent_->Reset();
-  deviation_sum_->Reset();
-  deviation_max_->Reset();
-}
-
 void CoherencyFilter::SetContract(uint64_t entity,
                                   const CoherencyContract& contract) {
   contracts_[entity] = contract;

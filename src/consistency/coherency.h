@@ -94,9 +94,7 @@ class CoherencyFilter {
   /// Overwrites any existing state.
   void RestoreEntity(uint64_t entity, const MirrorState& state);
 
-  /// Registry-backed snapshot, refreshed on every call.
-  const CoherencyStats& stats() const;
-  void ResetStats();
+  CoherencyStats stats() const { return view_.Read(); }
 
  private:
   bool Decide(MirrorState& st, double deviation, Micros now,
@@ -108,17 +106,22 @@ class CoherencyFilter {
   std::unordered_map<uint64_t, CoherencyContract> contracts_;
   std::unordered_map<uint64_t, MirrorState> states_;
   obs::StatsScope obs_{"coherency"};
-  obs::Counter* updates_offered_ = obs_.counter("updates_offered");
-  obs::Counter* updates_sent_ = obs_.counter("updates_sent");
-  obs::Counter* updates_suppressed_ = obs_.counter("updates_suppressed");
-  obs::Counter* bytes_sent_ = obs_.counter("bytes_sent");
-  obs::Gauge* deviation_sum_ = obs_.gauge("deviation_sum");
-  obs::Gauge* deviation_max_ =
-      obs_.gauge("deviation_max", obs::Gauge::Agg::kMax);
+  obs::StatsView<CoherencyStats> view_{obs_};
+  obs::Counter* updates_offered_ =
+      view_.counter("updates_offered", &CoherencyStats::updates_offered);
+  obs::Counter* updates_sent_ =
+      view_.counter("updates_sent", &CoherencyStats::updates_sent);
+  obs::Counter* updates_suppressed_ =
+      view_.counter("updates_suppressed", &CoherencyStats::updates_suppressed);
+  obs::Counter* bytes_sent_ =
+      view_.counter("bytes_sent", &CoherencyStats::bytes_sent);
+  obs::Gauge* deviation_sum_ =
+      view_.gauge("deviation_sum", &CoherencyStats::deviation_sum);
+  obs::Gauge* deviation_max_ = view_.gauge(
+      "deviation_max", &CoherencyStats::deviation_max, obs::Gauge::Agg::kMax);
   // Virtual-time gap between consecutive mirror refreshes of an entity
   // — the staleness the mirror actually carried, per QoS class.
   obs::ConcurrentHistogram* refresh_gap_us_[kQosClassCount] = {};
-  mutable CoherencyStats snapshot_;
 };
 
 }  // namespace deluge::consistency

@@ -12,12 +12,7 @@ TransmissionScheduler::TransmissionScheduler(net::Simulator* sim,
       bandwidth_(bandwidth_bytes_per_sec > 0 ? bandwidth_bytes_per_sec
                                              : 1.0),
       policy_(policy) {
-  for (QosClass c : kAllQosClasses) {
-    obs::Labels labels{{"qos", QosClassName(c)}};
-    m_[uint8_t(c)].latency = obs_.histogram("latency_us", labels);
-    m_[uint8_t(c)].delivered = obs_.counter("delivered", labels);
-    m_[uint8_t(c)].deadline_misses = obs_.counter("deadline_misses", labels);
-  }
+  for (QosClass c : kAllQosClasses) m_.emplace_back(obs_, c);
 }
 
 void TransmissionScheduler::Submit(PendingUpdate update) {
@@ -91,15 +86,6 @@ void TransmissionScheduler::MaybeStartTransmission() {
     busy_ = false;
     MaybeStartTransmission();
   });
-}
-
-const ClassStats& TransmissionScheduler::stats_for(QosClass c) const {
-  const ClassMetrics& cm = m_[uint8_t(c)];
-  ClassStats& snap = snaps_[uint8_t(c)];
-  snap.latency = cm.latency->Snapshot();
-  snap.delivered = cm.delivered->Value();
-  snap.deadline_misses = cm.deadline_misses->Value();
-  return snap;
 }
 
 uint64_t TransmissionScheduler::queued() const { return queue_.size(); }

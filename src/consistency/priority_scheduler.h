@@ -59,8 +59,7 @@ class TransmissionScheduler {
   /// Enqueues `update` at the current virtual time.
   void Submit(PendingUpdate update);
 
-  /// Registry-backed snapshot, refreshed on every call.
-  const ClassStats& stats_for(QosClass c) const;
+  ClassStats stats_for(QosClass c) const { return m_[uint8_t(c)].view.Read(); }
   uint64_t queued() const;
   uint64_t total_delivered() const;
 
@@ -81,12 +80,16 @@ class TransmissionScheduler {
   obs::StatsScope obs_{"txsched"};
   /// Per-class handles, labelled {qos=realtime|interactive|telemetry|bulk}.
   struct ClassMetrics {
-    obs::ConcurrentHistogram* latency;
-    obs::Counter* delivered;
-    obs::Counter* deadline_misses;
+    ClassMetrics(obs::StatsScope& scope, QosClass c)
+        : view(scope, {{"qos", QosClassName(c)}}) {}
+    obs::StatsView<ClassStats> view;
+    obs::ConcurrentHistogram* latency =
+        view.histogram("latency_us", &ClassStats::latency);
+    obs::Counter* delivered = view.counter("delivered", &ClassStats::delivered);
+    obs::Counter* deadline_misses =
+        view.counter("deadline_misses", &ClassStats::deadline_misses);
   };
-  ClassMetrics m_[kQosClassCount];
-  mutable ClassStats snaps_[kQosClassCount];
+  std::vector<ClassMetrics> m_;  // indexed by uint8_t(QosClass)
 };
 
 }  // namespace deluge::consistency

@@ -14,28 +14,6 @@ const stream::FieldId kFieldValue = stream::FieldTable::Intern("value");
 
 }  // namespace
 
-CoSpaceEngine::EngineCounters::EngineCounters(obs::StatsScope& scope)
-    : physical_updates(scope.counter("physical_updates")),
-      mirrored_updates(scope.counter("mirrored_updates")),
-      suppressed_updates(scope.counter("suppressed_updates")),
-      virtual_commands(scope.counter("virtual_commands")),
-      relayed_commands(scope.counter("relayed_commands")),
-      events_published(scope.counter("events_published")) {}
-
-void CoSpaceEngine::EngineCounters::Fill(EngineStats* out) const {
-  out->physical_updates = physical_updates->Value();
-  out->mirrored_updates = mirrored_updates->Value();
-  out->suppressed_updates = suppressed_updates->Value();
-  out->virtual_commands = virtual_commands->Value();
-  out->relayed_commands = relayed_commands->Value();
-  out->events_published = events_published->Value();
-}
-
-const EngineStats& CoSpaceEngine::stats() const {
-  c_.Fill(&snapshot_);
-  return snapshot_;
-}
-
 pubsub::Event MakeMirrorPositionEvent(EntityId id, const geo::Vec3& pos,
                                       Micros t, QosClass qos) {
   pubsub::Event event;
@@ -94,17 +72,17 @@ bool CoSpaceEngine::IngestPhysicalPosition(EntityId id, const geo::Vec3& pos,
 
 bool CoSpaceEngine::ApplyPhysicalPosition(EntityId id, const geo::Vec3& pos,
                                           Micros t, QosClass qos) {
-  c_.physical_updates->Add(1);
+  physical_updates_->Add(1);
   // The physical space always tracks ground truth.
   physical_.Move(id, pos, t);
 
   if (!coherency_.Offer(id, pos, t, /*bytes=*/64, qos)) {
-    c_.suppressed_updates->Add(1);
+    suppressed_updates_->Add(1);
     return false;
   }
-  c_.mirrored_updates->Add(1);
+  mirrored_updates_->Add(1);
   virtual_.Move(id, pos, t);
-  c_.events_published->Add(1);
+  events_published_->Add(1);
   return true;
 }
 
@@ -128,7 +106,7 @@ Status CoSpaceEngine::IngestPhysicalAttribute(EntityId id,
   event.payload.Set(kFieldValue, std::move(value));
   const Entity* e = physical_.Get(id);
   if (e != nullptr) event.position = e->position;
-  c_.events_published->Add(1);
+  events_published_->Add(1);
   broker_->Publish(event);
   return Status::OK();
 }
@@ -143,7 +121,7 @@ size_t CoSpaceEngine::IssueVirtualCommand(const geo::AABB& region,
 
 size_t CoSpaceEngine::RelayVirtualCommand(
     std::span<const Entity* const> affected, const stream::Tuple& command) {
-  c_.virtual_commands->Add(1);
+  virtual_commands_->Add(1);
   size_t relayed = 0;
   for (const Entity* e : affected) {
     if (e->origin != stream::Space::kPhysical) continue;  // pure-virtual
@@ -152,7 +130,7 @@ size_t CoSpaceEngine::RelayVirtualCommand(
       ++relayed;
     }
   }
-  c_.relayed_commands->Add(relayed);
+  relayed_commands_->Add(relayed);
   return affected.size();
 }
 

@@ -141,35 +141,31 @@ class CoSpaceEngine {
   /// as this engine would have (an elastic shard handoff).
   void MigrateEntity(EntityId id, CoSpaceEngine& to);
 
-  /// Registry-backed snapshot, refreshed on every call.
-  const EngineStats& stats() const;
-  const consistency::CoherencyStats& coherency_stats() const {
-    return coherency_.stats();
-  }
+  EngineStats stats() const { return view_.Read(); }
+  const obs::StatsView<EngineStats>& stats_view() const { return view_; }
 
  private:
-  /// Registry handles for `EngineStats` (metrics "engine.*", labelled
-  /// {subsystem=engine, instance=<id>} + the engine's labels).
-  struct EngineCounters {
-    EngineCounters(obs::StatsScope& scope);
-    obs::Counter* physical_updates;
-    obs::Counter* mirrored_updates;
-    obs::Counter* suppressed_updates;
-    obs::Counter* virtual_commands;
-    obs::Counter* relayed_commands;
-    obs::Counter* events_published;
-
-    void Fill(EngineStats* out) const;
-  };
-
   WorldSpace physical_;
   WorldSpace virtual_;
   consistency::CoherencyFilter coherency_;
   std::unique_ptr<pubsub::Broker> broker_;
   std::vector<CommandHandler> command_handlers_;
+  // Metrics "engine.*", labelled {subsystem=engine, instance=<id>} plus
+  // the engine's labels.
   obs::StatsScope obs_;
-  EngineCounters c_{obs_};
-  mutable EngineStats snapshot_;
+  obs::StatsView<EngineStats> view_{obs_};
+  obs::Counter* physical_updates_ =
+      view_.counter("physical_updates", &EngineStats::physical_updates);
+  obs::Counter* mirrored_updates_ =
+      view_.counter("mirrored_updates", &EngineStats::mirrored_updates);
+  obs::Counter* suppressed_updates_ =
+      view_.counter("suppressed_updates", &EngineStats::suppressed_updates);
+  obs::Counter* virtual_commands_ =
+      view_.counter("virtual_commands", &EngineStats::virtual_commands);
+  obs::Counter* relayed_commands_ =
+      view_.counter("relayed_commands", &EngineStats::relayed_commands);
+  obs::Counter* events_published_ =
+      view_.counter("events_published", &EngineStats::events_published);
 };
 
 }  // namespace deluge::core

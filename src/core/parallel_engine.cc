@@ -590,30 +590,7 @@ size_t ParallelEngine::IssueVirtualCommand(const geo::AABB& region,
 EngineStats ParallelEngine::TotalStats() const {
   std::lock_guard<std::mutex> lock(pipeline_mu_);
   EngineStats total;
-  for (const auto& shard : shards_) {
-    const EngineStats& s = shard->engine.stats();
-    total.physical_updates += s.physical_updates;
-    total.mirrored_updates += s.mirrored_updates;
-    total.suppressed_updates += s.suppressed_updates;
-    total.virtual_commands += s.virtual_commands;
-    total.relayed_commands += s.relayed_commands;
-    total.events_published += s.events_published;
-  }
-  return total;
-}
-
-consistency::CoherencyStats ParallelEngine::TotalCoherencyStats() const {
-  std::lock_guard<std::mutex> lock(pipeline_mu_);
-  consistency::CoherencyStats total;
-  for (const auto& shard : shards_) {
-    const consistency::CoherencyStats& s = shard->engine.coherency_stats();
-    total.updates_offered += s.updates_offered;
-    total.updates_sent += s.updates_sent;
-    total.updates_suppressed += s.updates_suppressed;
-    total.bytes_sent += s.bytes_sent;
-    total.deviation_sum += s.deviation_sum;
-    total.deviation_max = std::max(total.deviation_max, s.deviation_max);
-  }
+  for (const auto& shard : shards_) shard->engine.stats_view().AddTo(&total);
   return total;
 }
 
@@ -621,14 +598,7 @@ pubsub::BrokerStats ParallelEngine::TotalBrokerStats() const {
   std::lock_guard<std::mutex> lock(pipeline_mu_);
   pubsub::BrokerStats total;
   for (const auto& shard : shards_) {
-    const pubsub::BrokerStats& s = shard->engine.broker().stats();
-    total.events_published += s.events_published;
-    total.deliveries += s.deliveries;
-    total.candidates_checked += s.candidates_checked;
-    total.deliveries_queued += s.deliveries_queued;
-    total.deliveries_shed += s.deliveries_shed;
-    total.queue_high_water = std::max(total.queue_high_water,
-                                      s.queue_high_water);
+    shard->engine.broker().stats_view().AddTo(&total);
   }
   return total;
 }

@@ -284,12 +284,11 @@ class ParallelEngine {
 
   // ------------------------------------------------ introspection
 
-  /// Sums per-shard counters (deterministic for equal inputs).
+  /// Folds per-shard stats (deterministic for equal inputs).
   EngineStats TotalStats() const;
-  consistency::CoherencyStats TotalCoherencyStats() const;
   pubsub::BrokerStats TotalBrokerStats() const;
 
-  const EngineStats& shard_stats(size_t shard) const {
+  EngineStats shard_stats(size_t shard) const {
     return shards_[shard]->engine.stats();
   }
   pubsub::Broker& shard_broker(size_t shard) {

@@ -127,17 +127,4 @@ void Transport::ClearBurstLoss(NodeId a, NodeId b) {
   EachDirection(a, b, [](LinkFault& f) { f.has_burst = false; });
 }
 
-NetworkStats Transport::stats() const {
-  NetworkStats s;
-  s.messages_sent = messages_sent_->Value();
-  s.messages_delivered = messages_delivered_->Value();
-  s.messages_dropped = messages_dropped_->Value();
-  s.bytes_sent = bytes_sent_->Value();
-  s.bytes_delivered = bytes_delivered_->Value();
-  s.drops_node_down = drops_node_down_->Value();
-  s.drops_link_down = drops_link_down_->Value();
-  s.drops_burst_loss = drops_burst_loss_->Value();
-  return s;
-}
-
 }  // namespace deluge::net

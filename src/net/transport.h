@@ -119,8 +119,7 @@ class Transport {
   void SetBurstLoss(NodeId a, NodeId b, const BurstLossModel& model);
   void ClearBurstLoss(NodeId a, NodeId b);
 
-  /// Registry-backed snapshot of the shared counters.
-  NetworkStats stats() const;
+  NetworkStats stats() const { return view_.Read(); }
 
  protected:
   /// `subsystem` names the registry scope ("net", "transport") whose
@@ -145,9 +144,13 @@ class Transport {
   }
 
   obs::StatsScope obs_;
-  obs::Counter* messages_delivered_ = obs_.counter("messages_delivered");
-  obs::Counter* messages_dropped_ = obs_.counter("messages_dropped");
-  obs::Counter* bytes_delivered_ = obs_.counter("bytes_delivered");
+  obs::StatsView<NetworkStats> view_{obs_};
+  obs::Counter* messages_delivered_ =
+      view_.counter("messages_delivered", &NetworkStats::messages_delivered);
+  obs::Counter* messages_dropped_ =
+      view_.counter("messages_dropped", &NetworkStats::messages_dropped);
+  obs::Counter* bytes_delivered_ =
+      view_.counter("bytes_delivered", &NetworkStats::bytes_delivered);
 
  private:
   /// Transient fault overlay for one directed link.
@@ -170,11 +173,16 @@ class Transport {
   std::unordered_set<uint64_t> partitions_;
   std::unordered_map<uint64_t, LinkFault> faults_;
 
-  obs::Counter* messages_sent_ = obs_.counter("messages_sent");
-  obs::Counter* bytes_sent_ = obs_.counter("bytes_sent");
-  obs::Counter* drops_node_down_ = obs_.counter("drops_node_down");
-  obs::Counter* drops_link_down_ = obs_.counter("drops_link_down");
-  obs::Counter* drops_burst_loss_ = obs_.counter("drops_burst_loss");
+  obs::Counter* messages_sent_ =
+      view_.counter("messages_sent", &NetworkStats::messages_sent);
+  obs::Counter* bytes_sent_ =
+      view_.counter("bytes_sent", &NetworkStats::bytes_sent);
+  obs::Counter* drops_node_down_ =
+      view_.counter("drops_node_down", &NetworkStats::drops_node_down);
+  obs::Counter* drops_link_down_ =
+      view_.counter("drops_link_down", &NetworkStats::drops_link_down);
+  obs::Counter* drops_burst_loss_ =
+      view_.counter("drops_burst_loss", &NetworkStats::drops_burst_loss);
 };
 
 }  // namespace deluge::net

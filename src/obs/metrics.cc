@@ -181,17 +181,9 @@ void MetricsRegistry::Retire(const std::vector<std::string>& keys) {
         target->counter->Add(live.counter->Value());
         break;
       case MetricKind::kGauge:
-        switch (agg) {
-          case Gauge::Agg::kSum:
-            target->gauge->Add(live.gauge->Value());
-            break;
-          case Gauge::Agg::kMax:
-            target->gauge->UpdateMax(live.gauge->Value());
-            break;
-          case Gauge::Agg::kLast:
-            target->gauge->Set(live.gauge->Value());
-            break;
-        }
+        // Aggregates are written only here, under `mu_`.
+        target->gauge->Set(Gauge::Fold(agg, target->gauge->Value(),
+                                       live.gauge->Value()));
         break;
       case MetricKind::kHistogram:
         target->hist->MergeFrom(live.hist->Snapshot());

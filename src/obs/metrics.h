@@ -1,8 +1,10 @@
 #ifndef DELUGE_OBS_METRICS_H_
 #define DELUGE_OBS_METRICS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,13 +55,6 @@ class Counter {
     return sum;
   }
 
-  /// Zeroes the counter.  Not atomic with respect to concurrent `Add`s
-  /// (increments racing the reset may survive it); intended for the
-  /// single-threaded `ResetStats()` paths.
-  void Reset() {
-    for (Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
-  }
-
  private:
   struct alignas(64) Slot {
     std::atomic<uint64_t> v{0};
@@ -74,6 +69,12 @@ class Counter {
 class Gauge {
  public:
   enum class Agg : uint8_t { kSum, kMax, kLast };
+
+  /// `acc` combined with one more instance's `v` under `agg`.
+  static double Fold(Agg agg, double acc, double v) {
+    if (agg == Agg::kSum) return acc + v;
+    return agg == Agg::kMax ? std::max(acc, v) : v;
+  }
 
   explicit Gauge(Agg agg = Agg::kSum) : agg_(agg) {}
 
@@ -94,7 +95,6 @@ class Gauge {
   }
 
   double Value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0.0, std::memory_order_relaxed); }
   Agg agg() const { return agg_; }
 
  private:
@@ -143,13 +143,6 @@ class ConcurrentHistogram {
       n += s.hist.count();
     }
     return n;
-  }
-
-  void Reset() {
-    for (Stripe& s : stripes_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.hist.Reset();
-    }
   }
 
  private:
@@ -279,6 +272,64 @@ class StatsScope {
   uint64_t instance_id_;
   Labels labels_;
   std::vector<std::string> keys_;  // every key this scope interned
+};
+
+/// Reads a subsystem's `*Stats` struct `S` straight from its metrics.
+/// Each `counter`/`gauge`/`histogram` call registers the metric on the
+/// scope exactly as the scope's own method does (with this view's
+/// `extra` labels), returns the handle the hot path records into, and
+/// notes which field of `S` the metric fills.  `Read` returns this
+/// instance's values; `AddTo` folds them into a total by the rule
+/// `StatsScope` retirement uses: counters and kSum gauges add, kMax
+/// gauges take the max, kLast gauges overwrite, histograms merge.
+/// Metrics are never reset, so a window is the difference of two reads.
+template <typename S>
+class StatsView {
+ public:
+  explicit StatsView(StatsScope& scope, Labels extra = {})
+      : scope_(&scope), extra_(std::move(extra)) {}
+
+  Counter* counter(std::string_view name, uint64_t S::*field) {
+    Counter* c = scope_->counter(name, extra_);
+    fields_.push_back([c, field](S* out) { out->*field += c->Value(); });
+    return c;
+  }
+
+  /// `T` may be an integer (a high-water mark read as a count).
+  template <typename T>
+  Gauge* gauge(std::string_view name, T S::*field,
+               Gauge::Agg agg = Gauge::Agg::kSum) {
+    Gauge* g = scope_->gauge(name, agg, extra_);
+    fields_.push_back([g, field, agg](S* out) {
+      out->*field = T(Gauge::Fold(agg, double(out->*field), g->Value()));
+    });
+    return g;
+  }
+
+  ConcurrentHistogram* histogram(std::string_view name,
+                                 Histogram S::*field) {
+    ConcurrentHistogram* h = scope_->histogram(name, extra_);
+    fields_.push_back(
+        [h, field](S* out) { (out->*field).Merge(h->Snapshot()); });
+    return h;
+  }
+
+  /// This instance folded into a default `S`; fields no metric fills
+  /// keep their defaults.
+  S Read() const {
+    S out{};
+    AddTo(&out);
+    return out;
+  }
+
+  void AddTo(S* total) const {
+    for (const auto& add : fields_) add(total);
+  }
+
+ private:
+  StatsScope* scope_;
+  Labels extra_;
+  std::vector<std::function<void(S*)>> fields_;
 };
 
 /// RAII timer: records elapsed wall-clock microseconds into a

@@ -13,38 +13,13 @@ Broker::Broker(const geo::AABB& world, double cell_size, Deliver deliver,
     : world_(world),
       cell_size_(cell_size > 0 ? cell_size : 1.0),
       deliver_(std::move(deliver)),
-      obs_("broker", std::move(extra_labels)),
-      events_published_(obs_.counter("events_published")),
-      deliveries_(obs_.counter("deliveries")),
-      candidates_checked_(obs_.counter("candidates_checked")),
-      deliveries_queued_(obs_.counter("deliveries_queued")),
-      deliveries_shed_(obs_.counter("deliveries_shed")),
-      queue_high_water_(obs_.gauge("queue_high_water", obs::Gauge::Agg::kMax)) {
+      obs_("broker", std::move(extra_labels)) {
   for (QosClass c : kAllQosClasses) {
     obs::Labels qos{{"qos", QosClassName(c)}};
     delivery_us_[uint8_t(c)] = obs_.histogram("delivery_us", qos);
     class_delivered_[uint8_t(c)] = obs_.counter("class_delivered", qos);
     class_shed_[uint8_t(c)] = obs_.counter("class_shed", qos);
   }
-}
-
-const BrokerStats& Broker::stats() const {
-  snapshot_.events_published = events_published_->Value();
-  snapshot_.deliveries = deliveries_->Value();
-  snapshot_.candidates_checked = candidates_checked_->Value();
-  snapshot_.deliveries_queued = deliveries_queued_->Value();
-  snapshot_.deliveries_shed = deliveries_shed_->Value();
-  snapshot_.queue_high_water = uint64_t(queue_high_water_->Value());
-  return snapshot_;
-}
-
-void Broker::ResetStats() {
-  events_published_->Reset();
-  deliveries_->Reset();
-  candidates_checked_->Reset();
-  deliveries_queued_->Reset();
-  deliveries_shed_->Reset();
-  queue_high_water_->Reset();
 }
 
 Broker::CellKey Broker::CellFor(const geo::Vec3& p) const {

@@ -81,9 +81,8 @@ class Broker {
   size_t queue_depth() const { return queue_.size(); }
 
   size_t subscription_count() const { return subs_.size(); }
-  /// Registry-backed snapshot, refreshed on every call.
-  const BrokerStats& stats() const;
-  void ResetStats();
+  BrokerStats stats() const { return view_.Read(); }
+  const obs::StatsView<BrokerStats>& stats_view() const { return view_; }
 
  private:
   using CellKey = uint64_t;
@@ -110,17 +109,24 @@ class Broker {
   std::unordered_map<CellKey, std::unordered_set<uint64_t>> by_cell_;
   const Clock* clock_ = nullptr;  // per-class latency source (optional)
   obs::StatsScope obs_;
-  obs::Counter* events_published_;
-  obs::Counter* deliveries_;
-  obs::Counter* candidates_checked_;
-  obs::Counter* deliveries_queued_;
-  obs::Counter* deliveries_shed_;
-  obs::Gauge* queue_high_water_;
+  obs::StatsView<BrokerStats> view_{obs_};
+  obs::Counter* events_published_ =
+      view_.counter("events_published", &BrokerStats::events_published);
+  obs::Counter* deliveries_ =
+      view_.counter("deliveries", &BrokerStats::deliveries);
+  obs::Counter* candidates_checked_ =
+      view_.counter("candidates_checked", &BrokerStats::candidates_checked);
+  obs::Counter* deliveries_queued_ =
+      view_.counter("deliveries_queued", &BrokerStats::deliveries_queued);
+  obs::Counter* deliveries_shed_ =
+      view_.counter("deliveries_shed", &BrokerStats::deliveries_shed);
+  obs::Gauge* queue_high_water_ =
+      view_.gauge("queue_high_water", &BrokerStats::queue_high_water,
+                  obs::Gauge::Agg::kMax);
   // Per-QoS-class hop accounting, indexed by uint8_t(QosClass).
   obs::ConcurrentHistogram* delivery_us_[kQosClassCount];
   obs::Counter* class_delivered_[kQosClassCount];
   obs::Counter* class_shed_[kQosClassCount];
-  mutable BrokerStats snapshot_;
 };
 
 /// A topic-sharded broker overlay (Section IV-E: "publish/subscribe

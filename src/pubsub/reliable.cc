@@ -19,16 +19,6 @@ ReliableDeliverer::ReliableDeliverer(net::Transport* net, RetryPolicy policy,
   }
 }
 
-const ReliableStats& ReliableDeliverer::stats() const {
-  snapshot_.attempts = attempts_->Value();
-  snapshot_.sends = sends_->Value();
-  snapshot_.accepted = accepted_->Value();
-  snapshot_.retries = retries_->Value();
-  snapshot_.gave_up = gave_up_->Value();
-  snapshot_.fast_failed = fast_failed_->Value();
-  return snapshot_;
-}
-
 CircuitBreaker& ReliableDeliverer::breaker_for(net::NodeId to) {
   auto it = breakers_.find(to);
   if (it == breakers_.end()) {

@@ -49,8 +49,7 @@ class ReliableDeliverer {
   void Deliver(net::NodeId from, net::NodeId to, const Event& event);
 
   CircuitBreakerOptions& breaker_options() { return breaker_options_; }
-  /// Registry-backed snapshot, refreshed on every call.
-  const ReliableStats& stats() const;
+  ReliableStats stats() const { return view_.Read(); }
   uint32_t msg_type = 0x9B;
 
  private:
@@ -65,15 +64,16 @@ class ReliableDeliverer {
   std::unordered_map<net::NodeId, CircuitBreaker> breakers_;
   Rng rng_;
   obs::StatsScope obs_{"reliable"};
-  obs::Counter* attempts_ = obs_.counter("attempts");
-  obs::Counter* sends_ = obs_.counter("sends");
-  obs::Counter* accepted_ = obs_.counter("accepted");
-  obs::Counter* retries_ = obs_.counter("retries");
-  obs::Counter* gave_up_ = obs_.counter("gave_up");
-  obs::Counter* fast_failed_ = obs_.counter("fast_failed");
+  obs::StatsView<ReliableStats> view_{obs_};
+  obs::Counter* attempts_ = view_.counter("attempts", &ReliableStats::attempts);
+  obs::Counter* sends_ = view_.counter("sends", &ReliableStats::sends);
+  obs::Counter* accepted_ = view_.counter("accepted", &ReliableStats::accepted);
+  obs::Counter* retries_ = view_.counter("retries", &ReliableStats::retries);
+  obs::Counter* gave_up_ = view_.counter("gave_up", &ReliableStats::gave_up);
+  obs::Counter* fast_failed_ =
+      view_.counter("fast_failed", &ReliableStats::fast_failed);
   // Per-class giveups: the SLO gate reads these as delivery failures.
   obs::Counter* class_gave_up_[kQosClassCount] = {};
-  mutable ReliableStats snapshot_;
 };
 
 }  // namespace deluge::pubsub

@@ -766,22 +766,4 @@ void ReplicatedStore::OnMessage(const net::Message& msg) {
   }
 }
 
-const ReplicaStats& ReplicatedStore::stats() const {
-  snapshot_.quorum_writes = quorum_writes_->Value();
-  snapshot_.quorum_reads = quorum_reads_->Value();
-  snapshot_.write_failures = write_failures_->Value();
-  snapshot_.read_failures = read_failures_->Value();
-  snapshot_.sloppy_writes = sloppy_writes_->Value();
-  snapshot_.hinted_handoffs = hinted_handoffs_->Value();
-  snapshot_.hints_replayed = hints_replayed_->Value();
-  snapshot_.read_repairs = read_repairs_->Value();
-  snapshot_.stale_reads = stale_reads_->Value();
-  snapshot_.write_retries = write_retries_->Value();
-  snapshot_.read_retries = read_retries_->Value();
-  snapshot_.anti_entropy_rounds = anti_entropy_rounds_->Value();
-  snapshot_.anti_entropy_keys_synced = anti_entropy_keys_synced_->Value();
-  snapshot_.divergent_segments = divergent_segments_->Value();
-  return snapshot_;
-}
-
 }  // namespace deluge::replica

@@ -210,8 +210,7 @@ class ReplicatedStore {
   /// The preference list (N owner ring ids) for `key`.
   std::vector<uint64_t> PreferenceList(const std::string& key) const;
   const ReplicaOptions& options() const { return options_; }
-  /// Registry-backed snapshot, refreshed on every call.
-  const ReplicaStats& stats() const;
+  ReplicaStats stats() const { return view_.Read(); }
 
  private:
   struct Target {
@@ -347,27 +346,40 @@ class ReplicatedStore {
   std::unordered_map<std::string, Version> acked_;    ///< write-loss audit
 
   obs::StatsScope obs_{"replica"};
-  obs::Counter* quorum_writes_ = obs_.counter("quorum_writes");
-  obs::Counter* quorum_reads_ = obs_.counter("quorum_reads");
-  obs::Counter* write_failures_ = obs_.counter("write_failures");
-  obs::Counter* read_failures_ = obs_.counter("read_failures");
-  obs::Counter* sloppy_writes_ = obs_.counter("sloppy_writes");
-  obs::Counter* hinted_handoffs_ = obs_.counter("hinted_handoffs");
-  obs::Counter* hints_replayed_ = obs_.counter("hints_replayed");
-  obs::Counter* read_repairs_ = obs_.counter("read_repairs");
-  obs::Counter* stale_reads_ = obs_.counter("stale_reads");
-  obs::Counter* write_retries_ = obs_.counter("write_retries");
-  obs::Counter* read_retries_ = obs_.counter("read_retries");
-  obs::Counter* anti_entropy_rounds_ = obs_.counter("anti_entropy_rounds");
-  obs::Counter* anti_entropy_keys_synced_ =
-      obs_.counter("anti_entropy_keys_synced");
+  obs::StatsView<ReplicaStats> view_{obs_};
+  obs::Counter* quorum_writes_ =
+      view_.counter("quorum_writes", &ReplicaStats::quorum_writes);
+  obs::Counter* quorum_reads_ =
+      view_.counter("quorum_reads", &ReplicaStats::quorum_reads);
+  obs::Counter* write_failures_ =
+      view_.counter("write_failures", &ReplicaStats::write_failures);
+  obs::Counter* read_failures_ =
+      view_.counter("read_failures", &ReplicaStats::read_failures);
+  obs::Counter* sloppy_writes_ =
+      view_.counter("sloppy_writes", &ReplicaStats::sloppy_writes);
+  obs::Counter* hinted_handoffs_ =
+      view_.counter("hinted_handoffs", &ReplicaStats::hinted_handoffs);
+  obs::Counter* hints_replayed_ =
+      view_.counter("hints_replayed", &ReplicaStats::hints_replayed);
+  obs::Counter* read_repairs_ =
+      view_.counter("read_repairs", &ReplicaStats::read_repairs);
+  obs::Counter* stale_reads_ =
+      view_.counter("stale_reads", &ReplicaStats::stale_reads);
+  obs::Counter* write_retries_ =
+      view_.counter("write_retries", &ReplicaStats::write_retries);
+  obs::Counter* read_retries_ =
+      view_.counter("read_retries", &ReplicaStats::read_retries);
+  obs::Counter* anti_entropy_rounds_ =
+      view_.counter("anti_entropy_rounds", &ReplicaStats::anti_entropy_rounds);
+  obs::Counter* anti_entropy_keys_synced_ = view_.counter(
+      "anti_entropy_keys_synced", &ReplicaStats::anti_entropy_keys_synced);
   obs::Gauge* divergent_segments_ =
-      obs_.gauge("divergent_segments", obs::Gauge::Agg::kLast);
+      view_.gauge("divergent_segments", &ReplicaStats::divergent_segments,
+                  obs::Gauge::Agg::kLast);
   obs::ConcurrentHistogram* write_us_ = obs_.histogram("write_us");
   obs::ConcurrentHistogram* read_us_ = obs_.histogram("read_us");
   obs::ConcurrentHistogram* staleness_versions_ =
       obs_.histogram("staleness_versions");
-  mutable ReplicaStats snapshot_;
 };
 
 }  // namespace deluge::replica

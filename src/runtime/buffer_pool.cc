@@ -16,21 +16,6 @@ common::Buffer BufferPool::AllocatePayload(common::Slice bytes) {
   return common::Buffer::CopyOf(bytes, &payload_arena());
 }
 
-const BufferPoolStats& BufferPool::stats() const {
-  snapshot_.hits = hits_->Value();
-  snapshot_.misses = misses_->Value();
-  snapshot_.evictions = evictions_->Value();
-  snapshot_.bytes_fetched = bytes_fetched_->Value();
-  return snapshot_;
-}
-
-void BufferPool::ResetStats() {
-  hits_->Reset();
-  misses_->Reset();
-  evictions_->Reset();
-  bytes_fetched_->Reset();
-}
-
 uint64_t BufferPool::BytesOf(const LruList& l) const {
   return &l == &virtual_ ? virtual_bytes_ : used_bytes_ - virtual_bytes_;
 }

@@ -72,9 +72,7 @@ class BufferPool {
 
   uint64_t used_bytes() const { return used_bytes_; }
   uint64_t capacity_bytes() const { return capacity_; }
-  /// Registry-backed snapshot, refreshed on every call.
-  const BufferPoolStats& stats() const;
-  void ResetStats();
+  BufferPoolStats stats() const { return view_.Read(); }
 
  private:
   struct Page {
@@ -101,11 +99,13 @@ class BufferPool {
   uint64_t used_bytes_ = 0;
   uint64_t virtual_bytes_ = 0;
   obs::StatsScope obs_{"bufferpool"};
-  obs::Counter* hits_ = obs_.counter("hits");
-  obs::Counter* misses_ = obs_.counter("misses");
-  obs::Counter* evictions_ = obs_.counter("evictions");
-  obs::Counter* bytes_fetched_ = obs_.counter("bytes_fetched");
-  mutable BufferPoolStats snapshot_;
+  obs::StatsView<BufferPoolStats> view_{obs_};
+  obs::Counter* hits_ = view_.counter("hits", &BufferPoolStats::hits);
+  obs::Counter* misses_ = view_.counter("misses", &BufferPoolStats::misses);
+  obs::Counter* evictions_ =
+      view_.counter("evictions", &BufferPoolStats::evictions);
+  obs::Counter* bytes_fetched_ =
+      view_.counter("bytes_fetched", &BufferPoolStats::bytes_fetched);
 };
 
 }  // namespace deluge::runtime

@@ -11,15 +11,6 @@ ElasticExecutorPool::ElasticExecutorPool(net::Simulator* sim,
       executors_(std::max<size_t>(1, options.min_executors)),
       last_accounted_(sim->Now()) {}
 
-const ElasticStats& ElasticExecutorPool::stats() const {
-  snapshot_.task_latency = task_latency_->Snapshot();
-  snapshot_.completed = completed_->Value();
-  snapshot_.scale_outs = scale_outs_->Value();
-  snapshot_.scale_ins = scale_ins_->Value();
-  snapshot_.executor_time = executor_time_->Value();
-  return snapshot_;
-}
-
 void ElasticExecutorPool::AccountExecutorTime() {
   Micros now = sim_->Now();
   executor_time_->Add(double(executors_) * double(now - last_accounted_));

@@ -52,8 +52,7 @@ class ElasticExecutorPool {
 
   size_t executors() const { return executors_; }
   size_t queued() const { return queue_.size(); }
-  /// Registry-backed snapshot, refreshed on every call.
-  const ElasticStats& stats() const;
+  ElasticStats stats() const { return view_.Read(); }
 
  private:
   struct Task {
@@ -72,12 +71,17 @@ class ElasticExecutorPool {
   size_t busy_ = 0;
   std::deque<Task> queue_;
   obs::StatsScope obs_{"elastic"};
-  obs::ConcurrentHistogram* task_latency_ = obs_.histogram("task_latency_us");
-  obs::Counter* completed_ = obs_.counter("completed");
-  obs::Counter* scale_outs_ = obs_.counter("scale_outs");
-  obs::Counter* scale_ins_ = obs_.counter("scale_ins");
-  obs::Gauge* executor_time_ = obs_.gauge("executor_time_us");
-  mutable ElasticStats snapshot_;
+  obs::StatsView<ElasticStats> view_{obs_};
+  obs::ConcurrentHistogram* task_latency_ =
+      view_.histogram("task_latency_us", &ElasticStats::task_latency);
+  obs::Counter* completed_ =
+      view_.counter("completed", &ElasticStats::completed);
+  obs::Counter* scale_outs_ =
+      view_.counter("scale_outs", &ElasticStats::scale_outs);
+  obs::Counter* scale_ins_ =
+      view_.counter("scale_ins", &ElasticStats::scale_ins);
+  obs::Gauge* executor_time_ =
+      view_.gauge("executor_time_us", &ElasticStats::executor_time);
   Micros last_accounted_ = 0;
   bool autoscaler_running_ = false;
   size_t pending_scale_outs_ = 0;

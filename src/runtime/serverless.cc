@@ -12,15 +12,7 @@ ServerlessRuntime::ServerlessRuntime(net::Simulator* sim, Micros keep_alive)
 }
 
 void ServerlessRuntime::Register(FunctionSpec spec) {
-  FunctionState fs;
-  fs.spec = spec;
-  obs::Labels labels{{"function", spec.name}};
-  fs.latency = obs_.histogram("latency_us", labels);
-  fs.invocations = obs_.counter("invocations", labels);
-  fs.cold_starts = obs_.counter("cold_starts", labels);
-  fs.billed_mb_ms = obs_.gauge("billed_mb_ms", obs::Gauge::Agg::kSum, labels);
-  fs.idle_mb_ms = obs_.gauge("idle_mb_ms", obs::Gauge::Agg::kSum, labels);
-  functions_.emplace(spec.name, std::move(fs));
+  functions_.try_emplace(spec.name, spec, obs_);
 }
 
 void ServerlessRuntime::ScheduleReclaim(FunctionState* fs,
@@ -142,18 +134,9 @@ void ServerlessRuntime::Start(FunctionState* fsp, Micros start,
   });
 }
 
-const FunctionStats& ServerlessRuntime::stats_for(
-    const std::string& name) const {
-  static const FunctionStats& kEmpty = *new FunctionStats();
+FunctionStats ServerlessRuntime::stats_for(const std::string& name) const {
   auto it = functions_.find(name);
-  if (it == functions_.end()) return kEmpty;
-  const FunctionState& fs = it->second;
-  fs.snapshot.latency = fs.latency->Snapshot();
-  fs.snapshot.invocations = fs.invocations->Value();
-  fs.snapshot.cold_starts = fs.cold_starts->Value();
-  fs.snapshot.billed_mb_ms = fs.billed_mb_ms->Value();
-  fs.snapshot.idle_mb_ms = fs.idle_mb_ms->Value();
-  return fs.snapshot;
+  return it == functions_.end() ? FunctionStats{} : it->second.view.Read();
 }
 
 size_t ServerlessRuntime::warm_instances(const std::string& name) const {

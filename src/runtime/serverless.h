@@ -67,8 +67,8 @@ class ServerlessRuntime {
   /// `max_concurrent` 0 = unlimited (the default, previous behavior).
   void SetConcurrencyLimit(size_t max_concurrent, size_t queue_limit);
 
-  /// Registry-backed snapshot, refreshed on every call.
-  const FunctionStats& stats_for(const std::string& name) const;
+  /// Zeros for an unregistered function.
+  FunctionStats stats_for(const std::string& name) const;
   uint64_t dropped() const { return dropped_->Value(); }
   /// Invocations shed by the bounded admission queue.
   uint64_t shed() const { return shed_->Value(); }
@@ -82,14 +82,21 @@ class ServerlessRuntime {
     uint64_t generation;  ///< reclaim token
   };
   struct FunctionState {
+    FunctionState(FunctionSpec s, obs::StatsScope& scope)
+        : spec(std::move(s)), view(scope, {{"function", spec.name}}) {}
     FunctionSpec spec;
     // Registry handles, labelled {function=<name>}.
-    obs::ConcurrentHistogram* latency = nullptr;
-    obs::Counter* invocations = nullptr;
-    obs::Counter* cold_starts = nullptr;
-    obs::Gauge* billed_mb_ms = nullptr;
-    obs::Gauge* idle_mb_ms = nullptr;
-    mutable FunctionStats snapshot;
+    obs::StatsView<FunctionStats> view;
+    obs::ConcurrentHistogram* latency =
+        view.histogram("latency_us", &FunctionStats::latency);
+    obs::Counter* invocations =
+        view.counter("invocations", &FunctionStats::invocations);
+    obs::Counter* cold_starts =
+        view.counter("cold_starts", &FunctionStats::cold_starts);
+    obs::Gauge* billed_mb_ms =
+        view.gauge("billed_mb_ms", &FunctionStats::billed_mb_ms);
+    obs::Gauge* idle_mb_ms =
+        view.gauge("idle_mb_ms", &FunctionStats::idle_mb_ms);
     std::deque<WarmInstance> warm;
     uint64_t next_generation = 1;
   };

@@ -1004,23 +1004,7 @@ Result<std::shared_ptr<SSTable>> KVStore::BuildTableFromMemtable(
 }
 
 KVStoreStats KVStore::stats() const {
-  KVStoreStats s;
-  s.puts = puts_->Value();
-  s.deletes = deletes_->Value();
-  s.gets = gets_->Value();
-  s.flushes = flushes_->Value();
-  s.compactions = compactions_->Value();
-  s.bytes_written = bytes_written_->Value();
-  s.bytes_compacted = bytes_compacted_->Value();
-  s.bytes_flushed = bytes_flushed_->Value();
-  s.l0_write_bytes = l0_write_bytes_->Value();
-  s.l1_write_bytes = l1_write_bytes_->Value();
-  s.subcompactions = subcompactions_->Value();
-  s.write_stalls = write_stalls_->Value();
-  s.stall_time_us = stall_time_us_->Value();
-  s.wal_syncs = wal_syncs_->Value();
-  s.bloom_checks = bloom_checks_->Value();
-  s.bloom_useful = bloom_useful_->Value();
+  KVStoreStats s = view_.Read();
   if (block_cache_ != nullptr) {
     s.cache_hits = block_cache_->hits();
     s.cache_misses = block_cache_->misses();

@@ -397,27 +397,40 @@ class KVStore {
   // precedes nothing that uses it at destruction time; handles stay
   // valid for the store's lifetime.
   obs::StatsScope obs_{"storage"};
-  obs::Counter* puts_ = obs_.counter("puts");
-  obs::Counter* deletes_ = obs_.counter("deletes");
-  obs::Counter* gets_ = obs_.counter("gets");
-  obs::Counter* flushes_ = obs_.counter("flushes");
-  obs::Counter* compactions_ = obs_.counter("compactions");
-  obs::Counter* bytes_written_ = obs_.counter("bytes_written");
-  obs::Counter* bytes_compacted_ = obs_.counter("bytes_compacted");
-  obs::Counter* bytes_flushed_ = obs_.counter("bytes_flushed");
+  obs::StatsView<KVStoreStats> view_{obs_};
+  obs::Counter* puts_ = view_.counter("puts", &KVStoreStats::puts);
+  obs::Counter* deletes_ = view_.counter("deletes", &KVStoreStats::deletes);
+  obs::Counter* gets_ = view_.counter("gets", &KVStoreStats::gets);
+  obs::Counter* flushes_ = view_.counter("flushes", &KVStoreStats::flushes);
+  obs::Counter* compactions_ =
+      view_.counter("compactions", &KVStoreStats::compactions);
+  obs::Counter* bytes_written_ =
+      view_.counter("bytes_written", &KVStoreStats::bytes_written);
+  obs::Counter* bytes_compacted_ =
+      view_.counter("bytes_compacted", &KVStoreStats::bytes_compacted);
+  obs::Counter* bytes_flushed_ =
+      view_.counter("bytes_flushed", &KVStoreStats::bytes_flushed);
   // Physical per-level breakdown of the write-amp numerator: bytes of
   // SSTable file actually written into each level (flush outputs land
   // in L0, compaction outputs in L1).
-  obs::Counter* l0_write_bytes_ = obs_.counter("l0_write_bytes");
-  obs::Counter* l1_write_bytes_ = obs_.counter("l1_write_bytes");
-  obs::Counter* subcompactions_ = obs_.counter("subcompactions");
-  obs::Counter* write_stalls_ = obs_.counter("write_stalls");
-  obs::Counter* stall_time_us_ = obs_.counter("stall_time_us");
-  obs::Counter* wal_syncs_ = obs_.counter("wal_syncs");
+  obs::Counter* l0_write_bytes_ =
+      view_.counter("l0_write_bytes", &KVStoreStats::l0_write_bytes);
+  obs::Counter* l1_write_bytes_ =
+      view_.counter("l1_write_bytes", &KVStoreStats::l1_write_bytes);
+  obs::Counter* subcompactions_ =
+      view_.counter("subcompactions", &KVStoreStats::subcompactions);
+  obs::Counter* write_stalls_ =
+      view_.counter("write_stalls", &KVStoreStats::write_stalls);
+  obs::Counter* stall_time_us_ =
+      view_.counter("stall_time_us", &KVStoreStats::stall_time_us);
+  obs::Counter* wal_syncs_ =
+      view_.counter("wal_syncs", &KVStoreStats::wal_syncs);
   // Filter effectiveness, aggregated across tables (tables hold bare
   // pointers to these; the scope outlives every table the store opens).
-  obs::Counter* bloom_checks_ = obs_.counter("bloom_checks");
-  obs::Counter* bloom_useful_ = obs_.counter("bloom_useful");
+  obs::Counter* bloom_checks_ =
+      view_.counter("bloom_checks", &KVStoreStats::bloom_checks);
+  obs::Counter* bloom_useful_ =
+      view_.counter("bloom_useful", &KVStoreStats::bloom_useful);
   // Level shape and rewrite cost, refreshed at every install.
   obs::Gauge* l0_tables_ = obs_.gauge("l0_tables", obs::Gauge::Agg::kLast);
   obs::Gauge* l1_tables_ = obs_.gauge("l1_tables", obs::Gauge::Agg::kLast);

@@ -32,13 +32,7 @@ StreamScheduler::StreamScheduler(SimClock* clock, SchedulingPolicy policy)
 
 void StreamScheduler::Register(ContinuousQuery* query) {
   by_id_[query->id()] = queries_.size();
-  QueryState qs;
-  qs.query = query;
-  obs::Labels labels{{"query", query->id()}};
-  qs.latency = obs_.histogram("latency_us", labels);
-  qs.processed = obs_.counter("processed", labels);
-  qs.deadline_misses = obs_.counter("deadline_misses", labels);
-  queries_.push_back(std::move(qs));
+  queries_.emplace_back(query, obs_);
 }
 
 void StreamScheduler::Enqueue(const std::string& query_id, Tuple t) {
@@ -177,25 +171,14 @@ size_t StreamScheduler::RunUntilDrained() {
   return n;
 }
 
-const QueryStats& StreamScheduler::stats_for(
-    const std::string& query_id) const {
-  static const QueryStats& kEmpty = *new QueryStats();
+QueryStats StreamScheduler::stats_for(const std::string& query_id) const {
   auto it = by_id_.find(query_id);
-  if (it == by_id_.end()) return kEmpty;
-  const QueryState& q = queries_[it->second];
-  q.snapshot.latency = q.latency->Snapshot();
-  q.snapshot.processed = q.processed->Value();
-  q.snapshot.deadline_misses = q.deadline_misses->Value();
-  return q.snapshot;
+  return it == by_id_.end() ? QueryStats{} : queries_[it->second].view.Read();
 }
 
 QueryStats StreamScheduler::TotalStats() const {
   QueryStats total;
-  for (const auto& q : queries_) {
-    total.latency.Merge(q.latency->Snapshot());
-    total.processed += q.processed->Value();
-    total.deadline_misses += q.deadline_misses->Value();
-  }
+  for (const auto& q : queries_) q.view.AddTo(&total);
   return total;
 }
 

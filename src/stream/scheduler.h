@@ -57,8 +57,8 @@ class StreamScheduler {
   /// Processes at most one tuple; false when idle.
   bool Step();
 
-  /// Registry-backed snapshot, refreshed on every call.
-  const QueryStats& stats_for(const std::string& query_id) const;
+  /// Zeros for an unregistered query.
+  QueryStats stats_for(const std::string& query_id) const;
 
   /// Aggregate over all queries.
   QueryStats TotalStats() const;
@@ -73,13 +73,17 @@ class StreamScheduler {
     uint64_t seq;
   };
   struct QueryState {
+    QueryState(ContinuousQuery* q, obs::StatsScope& scope)
+        : query(q), view(scope, {{"query", q->id()}}) {}
     ContinuousQuery* query;
     std::deque<Item> queue;
     // Registry handles, labelled {query=<id>}.
-    obs::ConcurrentHistogram* latency = nullptr;
-    obs::Counter* processed = nullptr;
-    obs::Counter* deadline_misses = nullptr;
-    mutable QueryStats snapshot;
+    obs::StatsView<QueryStats> view;
+    obs::ConcurrentHistogram* latency =
+        view.histogram("latency_us", &QueryStats::latency);
+    obs::Counter* processed = view.counter("processed", &QueryStats::processed);
+    obs::Counter* deadline_misses =
+        view.counter("deadline_misses", &QueryStats::deadline_misses);
   };
 
   /// Index into queries_ of the next queue to pop, or -1 if all empty.

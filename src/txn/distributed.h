@@ -120,11 +120,7 @@ class DistributedTxnSystem {
   /// client library with a shard map).
   Status Read(const std::string& key, std::string* value) const;
 
-  /// Registry-backed snapshot, refreshed on every call.
-  const Histogram& commit_latency() const {
-    latency_snapshot_ = commit_latency_->Snapshot();
-    return latency_snapshot_;
-  }
+  Histogram commit_latency() const { return commit_latency_->Snapshot(); }
   uint64_t committed() const { return committed_->Value(); }
   uint64_t aborted() const { return aborted_->Value(); }
   net::NodeId coordinator_node() const { return coord_node_; }
@@ -228,7 +224,6 @@ class DistributedTxnSystem {
   obs::Counter* fast_fails_ = obs_.counter("fast_fails");
   obs::Counter* redeliveries_ = obs_.counter("redeliveries");
   obs::Counter* unresolved_decisions_ = obs_.counter("unresolved_decisions");
-  mutable Histogram latency_snapshot_;
 };
 
 /// Wire coding helpers (exposed for tests).

@@ -244,6 +244,31 @@ TEST(ParallelEngineTest, PerShardStatsSumToTotals) {
   EXPECT_EQ(sum.physical_updates, 200u);
 }
 
+// `shard_stats` takes no lock and `TotalStats` holds the pipeline
+// mutex, so neither may write state the other reads (TSan runs this in
+// CI).
+TEST(ParallelEngineTest, ConcurrentStatsReadersDoNotRace) {
+  ThreadPool pool(2);
+  ParallelEngine engine(ShardedOptions(2), &pool);
+  engine.SpawnPhysical(At(1, {10, 10, 50}));
+  std::vector<SensedUpdate> batch{{1, {20, 20, 50}, kMicrosPerSecond}};
+  engine.IngestBatch(batch);
+
+  std::thread shard_reader([&engine] {
+    for (int i = 0; i < 2000; ++i) {
+      uint64_t sum = 0;
+      for (size_t s = 0; s < engine.num_shards(); ++s) {
+        sum += engine.shard_stats(s).physical_updates;
+      }
+      EXPECT_EQ(sum, 1u);
+    }
+  });
+  for (int i = 0; i < 2000; ++i) {
+    EXPECT_EQ(engine.TotalStats().physical_updates, 1u);
+  }
+  shard_reader.join();
+}
+
 // ------------------------------------------------- concurrent ingest
 
 // The satellite stress test: 8 producer threads hammer a 4-shard

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Lints against ad-hoc metrics: new `struct *Stats` declarations outside
-# src/obs fail CI.  Subsystem counters belong in the metrics registry
-# (obs::StatsScope — see DESIGN.md §9); the structs below predate the
-# registry and survive only as snapshot *views* filled from it.  Extend
-# the allowlist only when adding another such view, never for a struct
-# that owns counters.
+# Lints against ad-hoc metrics outside src/obs:
+#  - a new `struct *Stats` declaration.  Subsystem counters belong in
+#    the metrics registry (obs::StatsScope — see DESIGN.md §9); the
+#    structs below predate the registry and are read through
+#    `obs::StatsView`.  Extend the allowlist only for another struct
+#    read that way, never for a struct that owns counters;
+#  - a `mutable` member of a `*Stats` type, or an accessor returning
+#    `const …Stats&`: a snapshot filled by hand, which concurrent
+#    readers race on.  `stats()` returns `view_.Read()` by value.
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -49,7 +52,16 @@ done <<EOF
 $found
 EOF
 
+member='mutable[[:space:]]+[A-Za-z_:]*Stats\b'
+accessor='const[[:space:]]+[A-Za-z_:]*Stats&[[:space:]]*[A-Za-z_]+\('
+if grep -rnE "$member|$accessor" src tests bench examples \
+     | grep -v '^src/obs/' >&2; then
+  echo "error: stats snapshot above; bind the struct through an" >&2
+  echo "  obs::StatsView and return view_.Read() by value." >&2
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-  echo "check_stats_structs: OK (no unregistered stats structs)"
+  echo "check_stats_structs: OK (no unregistered stats structs or snapshots)"
 fi
 exit $status
