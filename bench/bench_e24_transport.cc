@@ -279,7 +279,7 @@ QuorumResult RunQuorumSocket() {
   children.push_back(SpawnNodeHost(bin, cfg_path, 1));
   children.push_back(SpawnNodeHost(bin, cfg_path, 2));
 
-  ThreadPool pool(cfg.processes.size() + 2);
+  ThreadPool pool(1);  // the transport's event loop
   net::SocketTransportOptions topts;
   topts.config = cfg;
   topts.local_process = 0;
@@ -486,7 +486,7 @@ FanoutResult RunFanoutSocket() {
   children.push_back(SpawnNodeHost(bin, cfg_path, 1));
   children.push_back(SpawnNodeHost(bin, cfg_path, 2));
 
-  ThreadPool pool(cfg.processes.size() + 2);
+  ThreadPool pool(1);  // the transport's event loop
   net::SocketTransportOptions topts;
   topts.config = cfg;
   topts.local_process = 0;

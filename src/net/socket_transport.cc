@@ -6,17 +6,16 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 
 namespace deluge::net {
 
@@ -57,6 +56,10 @@ SocketTransport::SocketTransport(SocketTransportOptions opts)
 
 SocketTransport::~SocketTransport() { Stop(); }
 
+SocketTransport::OutFrame::OutFrame(const Message& msg) : payload(msg.payload) {
+  EncodeFrameHeader(msg, header.data());
+}
+
 Micros SocketTransport::Now() const { return obs::SteadyNowMicros() - epoch_; }
 
 NodeId SocketTransport::AddNode(Handler handler) {
@@ -80,10 +83,6 @@ NodeId SocketTransport::AddNode(Handler handler) {
 size_t SocketTransport::node_count() const {
   std::lock_guard<std::mutex> lk(state_mu_);
   return handlers_.size();
-}
-
-NodeId SocketTransport::FirstLocalNode() const {
-  return local_ids_.empty() ? 0 : local_ids_[0];
 }
 
 void SocketTransport::After(Micros delay, std::function<void()> fn) {
@@ -179,32 +178,17 @@ Status SocketTransport::Start() {
   SetNonBlocking(wake_pipe_[1]);
   for (const ProcessSpec& p : opts_.config.processes) {
     if (p.id == opts_.local_process) continue;
-    auto peer = std::make_unique<Peer>();
-    peer->process = p.id;
-    peer->endpoint = p.endpoint;
-    peers_.push_back(std::move(peer));
+    peers_.push_back(std::make_unique<Peer>(
+        p.id, p.endpoint,
+        opts_.seed ^ (uint64_t(p.id) * 0x9E3779B97F4A7C15ull)));
   }
   running_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(tasks_mu_);
-    live_tasks_ = 1 + int(peers_.size());
-  }
-  auto done = [this] {
-    std::lock_guard<std::mutex> lk(tasks_mu_);
-    --live_tasks_;
-    tasks_cv_.notify_all();
-  };
-  opts_.pool->Submit([this, done] {
+  opts_.pool->Submit([this] {
     EventLoop();
-    done();
+    std::lock_guard<std::mutex> lk(loop_mu_);
+    loop_exited_ = true;
+    loop_cv_.notify_all();
   });
-  for (auto& peer : peers_) {
-    Peer* p = peer.get();
-    opts_.pool->Submit([this, p, done] {
-      SenderLoop(p);
-      done();
-    });
-  }
   if (opts_.ping_period > 0) {
     After(opts_.ping_period, [this] { SendPings(); });
   }
@@ -215,33 +199,32 @@ void SocketTransport::Stop() {
   if (!started_.load(std::memory_order_acquire)) return;
   if (running_.exchange(false)) {
     WakeLoop();
-    for (auto& p : peers_) {
-      std::lock_guard<std::mutex> lk(p->mu);
-      p->cv.notify_all();
-    }
-    std::unique_lock<std::mutex> lk(tasks_mu_);
-    tasks_cv_.wait(lk, [this] { return live_tasks_ == 0; });
+    std::unique_lock<std::mutex> lk(loop_mu_);
+    loop_cv_.wait(lk, [this] { return loop_exited_; });
   }
   for (auto& p : peers_) {
     std::lock_guard<std::mutex> lk(p->mu);
     if (p->fd >= 0) {
       ::close(p->fd);
       p->fd = -1;
+      p->connected = false;
     }
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
+    // Only while the path is still ours: a later Stop must not remove a
+    // socket that a successor bound since.
+    const ProcessSpec* self = opts_.config.process(opts_.local_process);
+    if (self != nullptr && self->endpoint.is_unix()) {
+      ::unlink(self->endpoint.unix_path.c_str());
+    }
   }
   for (int& fd : wake_pipe_) {
     if (fd >= 0) {
       ::close(fd);
       fd = -1;
     }
-  }
-  const ProcessSpec* self = opts_.config.process(opts_.local_process);
-  if (self != nullptr && self->endpoint.is_unix()) {
-    ::unlink(self->endpoint.unix_path.c_str());
   }
 }
 
@@ -266,10 +249,7 @@ Status SocketTransport::Send(Message msg) {
     ScheduleDelivery(std::move(msg), extra);
     return Status::OK();
   }
-  OutFrame frame;
-  frame.header.resize(kFrameHeaderBytes);
-  EncodeFrameHeader(msg, frame.header.data());
-  frame.payload = msg.payload;  // refcount bump, no copy
+  OutFrame frame(msg);  // the payload's refcount bumps; no copy
   const uint32_t process = dst->process;
   if (extra > 0) {
     // Injected latency on the local view: hold the frame on the strand
@@ -288,208 +268,171 @@ Status SocketTransport::Send(Message msg) {
 
 bool SocketTransport::SendToPeer(uint32_t process, OutFrame frame,
                                  bool front) {
-  for (auto& p : peers_) {
-    if (p->process != process) continue;
+  const auto it =
+      std::find_if(peers_.begin(), peers_.end(),
+                   [process](const auto& p) { return p->process == process; });
+  if (it == peers_.end()) return false;
+  Peer* p = it->get();
+  {
     std::lock_guard<std::mutex> lk(p->mu);
-    if (p->fd >= 0 && p->queue.empty() && !p->tail && !p->sending) {
-      // Idle peer: write from this thread, without waking the sender
-      // task.  MSG_DONTWAIT keeps the caller from ever blocking; the
-      // sender task takes whatever this write leaves.
-      const ssize_t n = SendRest(p->fd, frame, MSG_DONTWAIT);
-      if (n > 0) frame.offset += size_t(n);
-      if (frame.offset == frame.size()) {
-        CountSent(frame);
-        return true;
-      }
-      if (frame.offset > 0) {
-        // Part of it is on the wire: the rest goes out next, ahead of
-        // any frame queued from now on.
-        p->tail = std::move(frame);
-        p->cv.notify_one();
-        return true;
-      }
-    } else if (!front && p->queue.size() >= opts_.max_send_queue_frames) {
-      return false;
-    }
-    if (front) {
-      p->queue.push_front(std::move(frame));
+    std::deque<OutFrame>& q = p->queue;
+    if (!front && q.size() >= opts_.max_send_queue_frames) return false;
+    if (!front) {
+      q.push_back(std::move(frame));
     } else {
-      p->queue.push_back(std::move(frame));
+      // Never inside a partly written frame.
+      q.insert(q.begin() + (!q.empty() && q.front().offset > 0),
+               std::move(frame));
     }
-    p->cv.notify_one();
-    return true;
+    if (q.size() > 1) return true;  // a backlog is the loop's to drain
+    // Idle peer: write from this thread, without waking the loop.
+    if (p->connected && Flush(p) && q.empty()) return true;
   }
-  return false;
+  // What is left (EAGAIN, a partial write, an error, no connection yet)
+  // is the loop's to write, connect or close.
+  WakeLoop();
+  return true;
 }
 
-// --- sender tasks ------------------------------------------------------
-
-ssize_t SocketTransport::SendRest(int fd, const OutFrame& frame, int flags) {
-  const size_t hlen = frame.header.size();
-  iovec iov[2];
-  size_t cnt = 0;
-  if (frame.offset < hlen) {
-    iov[cnt++] = {const_cast<char*>(frame.header.data()) + frame.offset,
-                  hlen - frame.offset};
-    if (!frame.payload.empty()) {
-      iov[cnt++] = {const_cast<char*>(frame.payload.data()),
-                    frame.payload.size()};
+bool SocketTransport::Flush(Peer* peer) {
+  constexpr size_t kMaxIov = 64;  // two per frame: header rest, payload rest
+  std::deque<OutFrame>& q = peer->queue;
+  while (!q.empty()) {
+    iovec iov[kMaxIov];
+    size_t cnt = 0;
+    size_t want = 0;
+    for (auto f = q.begin(); f != q.end() && cnt + 2 <= kMaxIov; ++f) {
+      const size_t hlen = f->header.size();
+      if (f->offset < hlen) {
+        iov[cnt++] = {const_cast<char*>(f->header.data()) + f->offset,
+                      hlen - f->offset};
+      }
+      const size_t sent = std::max(f->offset, hlen) - hlen;
+      if (sent < f->payload.size()) {
+        iov[cnt++] = {const_cast<char*>(f->payload.data()) + sent,
+                      f->payload.size() - sent};
+      }
+      want += f->size() - f->offset;
     }
-  } else {
-    const size_t sent = frame.offset - hlen;
-    iov[cnt++] = {const_cast<char*>(frame.payload.data()) + sent,
-                  frame.payload.size() - sent};
-  }
-  msghdr msg{};
-  msg.msg_iov = iov;
-  msg.msg_iovlen = cnt;
-  // MSG_NOSIGNAL: a peer that went away is an error return, not SIGPIPE.
-  return ::sendmsg(fd, &msg, flags | MSG_NOSIGNAL);
-}
-
-bool SocketTransport::WriteFrame(int fd, OutFrame* frame) {
-  while (frame->offset < frame->size()) {
-    const ssize_t n = SendRest(fd, *frame, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;  // includes SO_SNDTIMEO expiry on a stalled peer
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = cnt;
+    // MSG_NOSIGNAL: a peer that went away is an error return, not SIGPIPE.
+    const ssize_t n = ::sendmsg(peer->fd, &msg, MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    uint64_t frames = 0;
+    uint64_t bytes = 0;
+    for (size_t left = size_t(n); left > 0;) {
+      OutFrame& f = q.front();
+      const size_t rest = f.size() - f.offset;
+      if (left < rest) {
+        f.offset += left;
+        break;
+      }
+      left -= rest;
+      ++frames;
+      bytes += f.size();
+      q.pop_front();
     }
-    if (n == 0) return false;
-    frame->offset += size_t(n);
+    frames_sent_->Add(frames);
+    wire_bytes_sent_->Add(bytes);
+    if (size_t(n) < want) return true;  // socket full: POLLOUT resumes
   }
   return true;
 }
 
-void SocketTransport::CountSent(const OutFrame& frame) {
-  frames_sent_->Add(1);
-  wire_bytes_sent_->Add(frame.size());
+SocketTransport::OutFrame SocketTransport::ControlFrame(
+    uint32_t process, uint32_t type, std::string payload) const {
+  const std::vector<NodeId> theirs = opts_.config.nodes_of(process);
+  Message msg;
+  msg.type = type;
+  msg.from = local_ids_.empty() ? 0 : local_ids_[0];
+  msg.to = theirs.empty() ? 0 : theirs[0];
+  msg.payload = common::Buffer(std::move(payload));
+  return OutFrame(msg);
 }
 
-int SocketTransport::ConnectPeer(Peer* peer) {
-  Rng rng(opts_.seed ^ (uint64_t(peer->process) * 0x9E3779B97F4A7C15ull));
-  RetryState retry(opts_.reconnect, Now());
-  while (running_.load(std::memory_order_acquire)) {
-    int fd = -1;
-    if (peer->endpoint.is_unix()) {
-      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (fd >= 0) {
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, peer->endpoint.unix_path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-            0) {
-          ::close(fd);
-          fd = -1;
-        }
-      }
-    } else {
-      fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd >= 0) {
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(peer->endpoint.port);
-        if (::inet_pton(AF_INET, peer->endpoint.host.c_str(),
-                        &addr.sin_addr) != 1 ||
-            ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-                0) {
-          ::close(fd);
-          fd = -1;
-        }
-      }
-    }
-    if (fd >= 0) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                   sizeof(one));  // harmless EOPNOTSUPP on AF_UNIX
-      timeval tv{};
-      tv.tv_sec = 1;  // bound writes so Stop() cannot hang on a stall
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+// --- connections (event strand) ----------------------------------------
 
-      // Introduce ourselves so the acceptor can sanity-check placement.
-      Message hello;
-      hello.type = kTypeHello;
-      hello.from = FirstLocalNode();
-      const std::vector<NodeId> theirs = opts_.config.nodes_of(peer->process);
-      hello.to = theirs.empty() ? 0 : theirs[0];
-      std::string pid(4, '\0');
-      PutU32(pid.data(), opts_.local_process);
-      hello.payload = common::Buffer(std::move(pid));
-      OutFrame hf;
-      hf.header.resize(kFrameHeaderBytes);
-      EncodeFrameHeader(hello, hf.header.data());
-      hf.payload = hello.payload;
-      if (WriteFrame(fd, &hf)) {
-        CountSent(hf);
-        if (peer->ever_connected) reconnects_->Add(1);
-        peer->ever_connected = true;
-        return fd;
-      }
-      ::close(fd);
+void SocketTransport::Connect(Peer* peer) {
+  const SocketEndpoint& ep = peer->endpoint;
+  sockaddr_storage addr{};
+  socklen_t len = sizeof(sockaddr_in);
+  if (ep.is_unix()) {
+    auto* un = reinterpret_cast<sockaddr_un*>(&addr);
+    un->sun_family = AF_UNIX;
+    std::strncpy(un->sun_path, ep.unix_path.c_str(), sizeof(un->sun_path) - 1);
+    len = sizeof(sockaddr_un);
+  } else {
+    auto* in = reinterpret_cast<sockaddr_in*>(&addr);
+    in->sin_family = AF_INET;
+    in->sin_port = htons(ep.port);
+    if (::inet_pton(AF_INET, ep.host.c_str(), &in->sin_addr) != 1) {
+      BackOff(peer);
+      return;
     }
-    const Micros backoff = retry.NextBackoff(Now(), &rng);
-    if (backoff < 0) return -1;  // budget exhausted
-    std::unique_lock<std::mutex> lk(peer->mu);
-    peer->cv.wait_for(lk, std::chrono::microseconds(backoff), [this] {
-      return !running_.load(std::memory_order_acquire);
-    });
   }
-  return -1;
+  const int fd = ::socket(addr.ss_family, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd >= 0 && (::connect(fd, reinterpret_cast<sockaddr*>(&addr), len) == 0 ||
+                  errno == EINPROGRESS)) {
+    peer->fd = fd;  // POLLOUT tells how the connect ended
+    return;
+  }
+  if (fd >= 0) ::close(fd);
+  BackOff(peer);
 }
 
-void SocketTransport::SenderLoop(Peer* peer) {
-  std::unique_lock<std::mutex> lk(peer->mu);
-  while (true) {
-    peer->cv.wait(lk, [this, peer] {
-      return !running_.load(std::memory_order_acquire) || peer->tail ||
-             !peer->queue.empty();
-    });
-    if (!running_.load(std::memory_order_acquire)) break;
-    if (peer->fd < 0) {
-      lk.unlock();
-      const int fd = ConnectPeer(peer);
-      lk.lock();
-      if (fd < 0) {
-        if (!running_.load(std::memory_order_acquire)) break;
-        // Reconnect budget spent: this batch is lost (datagram
-        // semantics); the budget resets with the next enqueue.
-        messages_dropped_->Add(peer->queue.size());
-        peer->queue.clear();
-        continue;
-      }
-      peer->fd = fd;
+void SocketTransport::BackOff(Peer* peer) {
+  const Micros backoff = peer->retry.NextBackoff(Now(), &peer->rng);
+  if (backoff < 0) {
+    // Budget spent: this batch is lost (datagram semantics); the next
+    // send starts a fresh budget.
+    messages_dropped_->Add(peer->queue.size());
+    peer->queue.clear();
+    return;
+  }
+  peer->backing_off = true;
+  After(backoff, [this, peer] {
+    std::lock_guard<std::mutex> lk(peer->mu);
+    peer->backing_off = false;
+    Connect(peer);
+  });
+}
+
+void SocketTransport::OnWritable(Peer* peer) {
+  std::lock_guard<std::mutex> lk(peer->mu);
+  if (!peer->connected) {
+    int err = 0;
+    socklen_t len = sizeof(err);
+    if (::getsockopt(peer->fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+      err = errno;
     }
-    // Holding a frame (`sending`) keeps callers from writing inline, so
-    // this task owns the fd until the frame is out.
-    OutFrame frame;
-    if (peer->tail) {
-      frame = std::move(*peer->tail);
-      peer->tail.reset();
-    } else if (!peer->queue.empty()) {
-      frame = std::move(peer->queue.front());
-      peer->queue.pop_front();
-    } else {
-      continue;
-    }
-    peer->sending = true;
-    const int fd = peer->fd;
-    lk.unlock();
-    const bool ok = WriteFrame(fd, &frame);
-    lk.lock();
-    peer->sending = false;
-    if (ok) {
-      CountSent(frame);
-    } else {
-      ::close(fd);
+    if (err != 0) {
+      ::close(peer->fd);
       peer->fd = -1;
-      frame.offset = 0;  // resent whole on the next connection
-      peer->queue.push_front(std::move(frame));
+      BackOff(peer);
+      return;
     }
+    const int one = 1;
+    ::setsockopt(peer->fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                 sizeof(one));  // harmless EOPNOTSUPP on AF_UNIX
+    // Introduce ourselves so the acceptor can sanity-check placement.
+    std::string pid(4, '\0');
+    PutU32(pid.data(), opts_.local_process);
+    peer->queue.push_front(
+        ControlFrame(peer->process, kTypeHello, std::move(pid)));
+    peer->connected = true;
+    if (peer->ever_connected) reconnects_->Add(1);
+    peer->ever_connected = true;
   }
-  if (peer->fd >= 0) {
-    ::close(peer->fd);
-    peer->fd = -1;
-  }
+  if (Flush(peer)) return;
+  // A broken connection: the frame it cut off goes again, whole, on the
+  // next one.
+  ::close(peer->fd);
+  peer->fd = -1;
+  peer->connected = false;
+  if (!peer->queue.empty()) peer->queue.front().offset = 0;
 }
 
 // --- event strand ------------------------------------------------------
@@ -497,21 +440,35 @@ void SocketTransport::SenderLoop(Peer* peer) {
 void SocketTransport::EventLoop() {
   std::vector<std::unique_ptr<Conn>> conns;
   std::vector<pollfd> pfds;
+  std::vector<Peer*> polled;  // the peers behind pfds[2, 2 + size)
   while (running_.load(std::memory_order_acquire)) {
-    int timeout_ms = 200;
+    Micros wait = 200 * kMicrosPerMilli;
     {
       std::lock_guard<std::mutex> lk(state_mu_);
       if (!timers_.empty()) {
-        const Micros diff = timers_.top().at - Now();
-        timeout_ms =
-            diff <= 0 ? 0 : int(std::min<Micros>((diff + 999) / 1000, 200));
+        wait = std::clamp<Micros>(timers_.top().at - Now(), 0, wait);
       }
     }
     pfds.clear();
+    polled.clear();
     pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
     pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    for (const auto& peer : peers_) {
+      std::lock_guard<std::mutex> lk(peer->mu);
+      if (peer->fd < 0 && !peer->backing_off && !peer->queue.empty()) {
+        peer->retry = RetryState(opts_.reconnect, Now());  // a fresh budget
+        Connect(peer.get());
+      }
+      if (peer->fd >= 0 && (!peer->connected || !peer->queue.empty())) {
+        pfds.push_back(pollfd{peer->fd, POLLOUT, 0});
+        polled.push_back(peer.get());
+      }
+    }
+    const size_t first_conn = pfds.size();
     for (const auto& c : conns) pfds.push_back(pollfd{c->fd, POLLIN, 0});
-    const int rc = ::poll(pfds.data(), nfds_t(pfds.size()), timeout_ms);
+    const timespec timeout{time_t(wait / kMicrosPerSecond),
+                           long(wait % kMicrosPerSecond * 1000)};
+    const int rc = ::ppoll(pfds.data(), nfds_t(pfds.size()), &timeout, nullptr);
     if (rc < 0 && errno != EINTR) break;
 
     if (rc > 0 && (pfds[0].revents & POLLIN) != 0) {
@@ -533,6 +490,9 @@ void SocketTransport::EventLoop() {
     }
     if (rc <= 0) continue;
 
+    for (size_t i = 0; i < polled.size(); ++i) {
+      if (pfds[2 + i].revents != 0) OnWritable(polled[i]);
+    }
     if ((pfds[1].revents & POLLIN) != 0) {
       for (;;) {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -544,9 +504,9 @@ void SocketTransport::EventLoop() {
       }
     }
     bool closed_any = false;
-    for (size_t i = 2; i < pfds.size(); ++i) {
+    for (size_t i = first_conn; i < pfds.size(); ++i) {
       if ((pfds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-      Conn* conn = conns[i - 2].get();
+      Conn* conn = conns[i - first_conn].get();
       if (!ReadConn(conn)) {
         ::close(conn->fd);
         conn->fd = -1;
@@ -636,11 +596,7 @@ void SocketTransport::HandleControl(const Message& msg) {
       pong.from = msg.to;
       pong.to = msg.from;
       pong.payload = msg.payload;  // echo the sender's timestamp
-      OutFrame f;
-      f.header.resize(kFrameHeaderBytes);
-      EncodeFrameHeader(pong, f.header.data());
-      f.payload = pong.payload;
-      SendToPeer(src->process, std::move(f), /*front=*/true);
+      SendToPeer(src->process, OutFrame(pong), /*front=*/true);
       break;
     }
     case kTypePong: {
@@ -658,19 +614,11 @@ void SocketTransport::HandleControl(const Message& msg) {
 void SocketTransport::SendPings() {
   if (!running_.load(std::memory_order_acquire)) return;
   for (const auto& peer : peers_) {
-    const std::vector<NodeId> theirs = opts_.config.nodes_of(peer->process);
-    Message ping;
-    ping.type = kTypePing;
-    ping.from = FirstLocalNode();
-    ping.to = theirs.empty() ? 0 : theirs[0];
     std::string ts(8, '\0');
     PutU64(ts.data(), uint64_t(obs::SteadyNowMicros()));
-    ping.payload = common::Buffer(std::move(ts));
-    OutFrame f;
-    f.header.resize(kFrameHeaderBytes);
-    EncodeFrameHeader(ping, f.header.data());
-    f.payload = ping.payload;
-    SendToPeer(peer->process, std::move(f), /*front=*/true);
+    SendToPeer(peer->process,
+               ControlFrame(peer->process, kTypePing, std::move(ts)),
+               /*front=*/true);
   }
   After(opts_.ping_period, [this] { SendPings(); });
 }

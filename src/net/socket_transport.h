@@ -3,6 +3,7 @@
 
 #include <sys/types.h>
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -10,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -38,10 +38,9 @@ struct SocketTransportOptions {
   ClusterConfig config;
   /// Which process of `config` this transport is.
   uint32_t local_process = 0;
-  /// Worker pool the event loop and per-peer sender tasks run on.  Must
-  /// outlive the transport and have at least `1 + remote process count`
-  /// threads free, since those tasks occupy workers for the transport's
-  /// lifetime.
+  /// Worker pool the event loop runs on.  Must outlive the transport
+  /// and have one thread free, since the loop occupies a worker for the
+  /// transport's lifetime.
   ThreadPool* pool = nullptr;
   /// Backoff for (re)connecting to a peer process.  When the budget is
   /// exhausted the queued frames are dropped (counted) and the budget
@@ -71,17 +70,14 @@ struct SocketTransportOptions {
 /// against `Transport` run as separate OS processes in wall-clock time.
 ///
 /// Threading: one long-running *event loop* task owns the listen socket,
-/// every accepted connection, and the timer heap — handlers and timer
-/// callbacks all run there, giving the same single-strand contract as
-/// the simulator backend.  Each remote process additionally gets one
-/// *sender* task draining that peer's frame queue (blocking connect with
-/// `RetryPolicy` backoff, then sendmsg of header + zero-copy payload
-/// Buffer).  `Send` may be called from any thread.  When the peer is
-/// connected and idle (empty queue, no frame in the sender's hands),
-/// `Send` writes the frame itself with one non-blocking sendmsg; what
-/// that write leaves — the whole frame on EAGAIN or an error, the tail
-/// of a partial write — goes to the sender task, which alone closes and
-/// reconnects.  Frames to one peer leave in `Send` order.
+/// every accepted and outgoing connection, and the timer heap; handlers
+/// and timer callbacks all run there, giving the same single-strand
+/// contract as the simulator backend.  `Send` may be called from any
+/// thread.  Each remote process has one queue of frames, written only by
+/// `Flush` under the peer's mutex: `Send` flushes when the queue was
+/// empty and the peer is connected, and the loop flushes on POLLOUT.
+/// The loop alone connects (non-blocking, with `RetryPolicy` backoff),
+/// closes and reconnects.  Frames to one peer leave in `Send` order.
 ///
 /// Clock: `Now()` is monotonic wall-clock micros since construction.
 ///
@@ -98,11 +94,11 @@ class SocketTransport final : public Transport {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  /// Binds the listen socket and launches the event loop + sender
-  /// tasks.  Call after registering local nodes with AddNode.
+  /// Binds the listen socket and launches the event loop.  Call after
+  /// registering local nodes with AddNode.
   Status Start();
 
-  /// Stops the loops, joins the tasks (they return to the pool), closes
+  /// Stops the loop, waits for its task to return to the pool, closes
   /// every socket.  Idempotent; the destructor calls it.
   void Stop();
 
@@ -127,30 +123,35 @@ class SocketTransport final : public Transport {
   /// One frame queued toward a peer process: encoded header plus the
   /// payload Buffer (written separately — the payload is never copied).
   struct OutFrame {
-    std::string header;
+    explicit OutFrame(const Message& msg);
+    std::array<char, kFrameHeaderBytes> header;
     common::Buffer payload;
     /// Bytes already written on the current connection.
     size_t offset = 0;
     size_t size() const { return header.size() + payload.size(); }
   };
 
-  /// Send side of one remote process.  `mu` guards the queue, `tail`,
-  /// `fd` and `sending`; `process` and `endpoint` are fixed at Start,
-  /// and only the sender task touches `ever_connected`.
+  /// Send side of one remote process.  `process` and `endpoint` are
+  /// fixed at Start.
   struct Peer {
-    uint32_t process = 0;
+    Peer(uint32_t p, SocketEndpoint ep, uint64_t seed)
+        : process(p), endpoint(std::move(ep)), rng(seed) {}
+    uint32_t process;
     SocketEndpoint endpoint;
-    std::mutex mu;
-    std::condition_variable cv;
-    /// Unwritten frames in send order, control frames at the front.
+
+    std::mutex mu;  // guards `queue`, `fd` and `connected`
+    /// Unwritten frames in send order.  Only the front may be partly
+    /// written; control frames queue right behind it.
     std::deque<OutFrame> queue;
-    /// The rest of a frame a caller wrote in part; the sender task
-    /// writes it before anything queued, so nothing lands inside it.
-    std::optional<OutFrame> tail;
     int fd = -1;
-    /// The sender task has taken a frame and is writing it.
-    bool sending = false;
+    /// False while a connect on `fd` is in progress.
+    bool connected = false;
+
+    // Owned by the event loop.
+    RetryState retry;
+    bool backing_off = false;
     bool ever_connected = false;
+    Rng rng;
   };
 
   /// Receive side of one accepted connection.
@@ -171,22 +172,26 @@ class SocketTransport final : public Transport {
 
   Status Listen();
   void EventLoop();
-  void SenderLoop(Peer* peer);
-  /// Blocking connect to `peer` honouring the retry policy; returns the
-  /// fd or -1 when the budget is exhausted or the transport stopped.
-  int ConnectPeer(Peer* peer);
-  /// One sendmsg of what is left of `frame` past its offset; the
-  /// syscall's result.
-  static ssize_t SendRest(int fd, const OutFrame& frame, int flags);
-  /// Blocking write of the rest of `*frame`, advancing its offset;
-  /// false when the connection failed.
-  bool WriteFrame(int fd, OutFrame* frame);
-  void CountSent(const OutFrame& frame);
-  /// Writes `frame` from the calling thread when the peer is idle, and
-  /// hands what is left to the sender task.  A `front` (control) frame
-  /// jumps the queue.  False when the peer is unknown or its queue is
-  /// full.
+  /// Starts a non-blocking connect to `peer` (`mu` held); the loop
+  /// finishes it on POLLOUT.  A failure backs off.
+  void Connect(Peer* peer);
+  /// Arms the next connect attempt after a failed one, or drops the
+  /// queue (counted) when the reconnect budget is spent.  `mu` held.
+  void BackOff(Peer* peer);
+  /// The loop's turn on a polled peer socket: finishes a connect, then
+  /// flushes; closes the connection on an error.
+  void OnWritable(Peer* peer);
+  /// Writes what the socket takes of `peer`'s queue with non-blocking
+  /// gather sendmsg calls (`mu` held); false on a write error.
+  bool Flush(Peer* peer);
+  /// Queues `frame` toward `process` and writes it from the calling
+  /// thread when the queue was empty and the peer is connected.  A
+  /// `front` (control) frame jumps the queue.  False when the peer is
+  /// unknown or its queue is full.
   bool SendToPeer(uint32_t process, OutFrame frame, bool front = false);
+  /// A control frame of `type` from this process to `process`.
+  OutFrame ControlFrame(uint32_t process, uint32_t type,
+                        std::string payload) const;
 
   /// Drains readable bytes from `conn`; false = close the connection.
   bool ReadConn(Conn* conn);
@@ -200,7 +205,6 @@ class SocketTransport final : public Transport {
   void DeliverNow(const Message& msg);
 
   void WakeLoop();
-  NodeId FirstLocalNode() const;
   void SendPings();
 
   SocketTransportOptions opts_;
@@ -220,9 +224,9 @@ class SocketTransport final : public Transport {
   std::atomic<bool> started_{false};
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
-  std::mutex tasks_mu_;
-  std::condition_variable tasks_cv_;
-  int live_tasks_ = 0;
+  std::mutex loop_mu_;
+  std::condition_variable loop_cv_;
+  bool loop_exited_ = false;
 
   obs::Counter* frames_sent_ = obs_.counter("frames_sent");
   obs::Counter* frames_received_ = obs_.counter("frames_received");

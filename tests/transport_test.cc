@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -30,6 +31,7 @@
 #include "net/simulator.h"
 #include "net/socket_transport.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "replica/node.h"
 #include "replica/replicated_store.h"
 
@@ -321,53 +323,174 @@ TEST(SocketTransportTest, SendToUnknownNodeRejected) {
   t.Stop();
 }
 
+/// Process 0 of `cfg`, started with one node, sending small frames to
+/// node 1 in process 1.
+struct Sender {
+  SocketTransport t;
+  NodeId node = 0;
+
+  Sender(const ClusterConfig& cfg, ThreadPool* pool,
+         const std::function<void(SocketTransportOptions*)>& tune = {})
+      : t([&] {
+          SocketTransportOptions o;
+          o.config = cfg;
+          o.local_process = 0;
+          o.pool = pool;
+          if (tune) tune(&o);
+          return o;
+        }()) {
+    node = t.AddNode([](const Message&) {});
+    EXPECT_TRUE(t.Start().ok());
+  }
+  Status Send() {
+    Message m;
+    m.from = node;
+    m.to = 1;
+    m.type = 9;
+    m.payload = std::string("x");
+    return t.Send(std::move(m));
+  }
+};
+
+/// Process 1 of `cfg`, started, counting deliveries into `*got`.
+std::unique_ptr<SocketTransport> StartReceiver(const ClusterConfig& cfg,
+                                               ThreadPool* pool,
+                                               std::atomic<int>* got) {
+  SocketTransportOptions o;
+  o.config = cfg;
+  o.local_process = 1;
+  o.pool = pool;
+  auto t = std::make_unique<SocketTransport>(std::move(o));
+  t->AddNode([got](const Message&) { got->fetch_add(1); });
+  EXPECT_TRUE(t->Start().ok());
+  return t;
+}
+
+/// The process-wide total of counter `name` over every instance, live
+/// or retired.
+double RegistryTotal(std::string_view name) {
+  double total = 0;
+  for (const obs::MetricSample& s :
+       obs::MetricsRegistry::Global().Snapshot()) {
+    if (s.name == name) total += s.value;
+  }
+  return total;
+}
+
 TEST(SocketTransportTest, SenderReconnectsAcrossPeerRestart) {
-  // Peer comes up only after the first send: the reconnect policy must
-  // carry queued frames through the initial connection failures.
+  // The peer comes up only after the first send, so the reconnect policy
+  // must carry the queued frame through the first connection failures.
+  // Then the peer restarts on the same path: the dead connection is
+  // replaced once, and frames flow again.
   TempDir dir;
   ClusterConfig cfg =
       PairConfig({"", 0, dir.sock("ra.sock")}, {"", 0, dir.sock("rb.sock")});
-  ThreadPool pool(8);
-
-  SocketTransportOptions oa;
-  oa.config = cfg;
-  oa.local_process = 0;
-  oa.pool = &pool;
-  SocketTransport a(std::move(oa));
-  NodeId na = a.AddNode([](const Message&) {});
-  ASSERT_TRUE(a.Start().ok());
-
-  Message m;
-  m.from = na;
-  m.to = 1;
-  m.type = 9;
-  m.payload = std::string("early bird");
-  ASSERT_TRUE(a.Send(std::move(m)).ok());  // peer not yet listening
+  ThreadPool pool(4);
+  Sender a(cfg, &pool);
+  ASSERT_TRUE(a.Send().ok());  // peer not yet listening
 
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  SocketTransportOptions ob;
-  ob.config = cfg;
-  ob.local_process = 1;
-  ob.pool = &pool;
-  SocketTransport b(std::move(ob));
   std::atomic<int> got{0};
-  b.AddNode([&](const Message&) { got.fetch_add(1); });
-  ASSERT_TRUE(b.Start().ok());
-
+  std::unique_ptr<SocketTransport> b = StartReceiver(cfg, &pool, &got);
   EXPECT_TRUE(WaitUntil([&] { return got.load() == 1; }))
       << "frame queued before the peer existed was never delivered";
-  a.Stop();
-  b.Stop();
+
+  const double reconnects = RegistryTotal("transport.reconnects");
+  b.reset();
+  b = StartReceiver(cfg, &pool, &got);
+  // Frames written into the dead connection are lost; keep sending until
+  // one arrives over the new one.
+  EXPECT_TRUE(WaitUntil([&] {
+    EXPECT_TRUE(a.Send().ok());
+    return got.load() >= 2;
+  })) << "no frame reached the restarted peer";
+  EXPECT_EQ(RegistryTotal("transport.reconnects"), reconnects + 1);
+  a.t.Stop();
+  b->Stop();
+}
+
+TEST(SocketTransportTest, ReconnectBudgetDropsQueueAndResetsOnNextSend) {
+  // Nobody listens at first: two connect attempts spend the budget, and
+  // every queued frame is dropped and counted.  The next send starts a
+  // fresh budget, which reaches the peer started since.
+  TempDir dir;
+  ClusterConfig cfg =
+      PairConfig({"", 0, dir.sock("da.sock")}, {"", 0, dir.sock("db.sock")});
+  ThreadPool pool(4);
+  Sender a(cfg, &pool, [](SocketTransportOptions* o) {
+    o->reconnect.max_attempts = 2;
+    o->reconnect.initial_backoff = 1 * kMicrosPerMilli;
+    o->reconnect.max_backoff = 2 * kMicrosPerMilli;
+  });
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(a.Send().ok());
+  EXPECT_TRUE(WaitUntil([&] { return a.t.stats().messages_dropped == 3; }))
+      << "dropped " << a.t.stats().messages_dropped;
+
+  std::atomic<int> got{0};
+  std::unique_ptr<SocketTransport> b = StartReceiver(cfg, &pool, &got);
+  ASSERT_TRUE(a.Send().ok());
+  EXPECT_TRUE(WaitUntil([&] { return got.load() == 1; }))
+      << "the send after a spent budget never arrived";
+  EXPECT_EQ(a.t.stats().messages_dropped, 3u);
+  a.t.Stop();
+  b->Stop();
+}
+
+TEST(SocketTransportTest, FullSendQueueFailsFast) {
+  // With no peer, frames wait in the queue while the transport retries
+  // the connect; the one past `max_send_queue_frames` fails at once.
+  TempDir dir;
+  ClusterConfig cfg =
+      PairConfig({"", 0, dir.sock("qa.sock")}, {"", 0, dir.sock("qb.sock")});
+  ThreadPool pool(4);
+  Sender a(cfg, &pool,
+           [](SocketTransportOptions* o) { o->max_send_queue_frames = 4; });
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(a.Send().ok()) << "send " << i;
+  EXPECT_TRUE(a.Send().IsUnavailable());
+  EXPECT_EQ(a.t.stats().messages_dropped, 1u);
+  a.t.Stop();
+}
+
+TEST(SocketTransportTest, SubMillisecondTimersFireOnTime) {
+  // A replica acks through After(50 µs): a timer must not wait for the
+  // next whole millisecond.  Each 200 µs timer is armed on an idle loop.
+  TempDir dir;
+  ClusterConfig cfg;
+  cfg.processes.push_back({0, {"", 0, dir.sock("st.sock")}});
+  cfg.nodes.push_back({0, 0, "a", ""});
+  ThreadPool pool(4);
+  std::atomic<Micros> fired_at{-1};
+  SocketTransportOptions opts;
+  opts.config = cfg;
+  opts.local_process = 0;
+  opts.pool = &pool;
+  SocketTransport t(std::move(opts));
+  t.AddNode([](const Message&) {});
+  ASSERT_TRUE(t.Start().ok());
+
+  constexpr Micros kDelay = 200;
+  std::vector<Micros> waited;
+  for (int i = 0; i < 21; ++i) {
+    fired_at.store(-1);
+    const Micros armed_at = t.Now();
+    t.After(kDelay, [&] { fired_at.store(t.Now()); });
+    ASSERT_TRUE(WaitUntil([&] { return fired_at.load() >= 0; }));
+    waited.push_back(fired_at.load() - armed_at);
+  }
+  t.Stop();
+  EXPECT_GE(*std::min_element(waited.begin(), waited.end()), kDelay);
+  std::nth_element(waited.begin(), waited.begin() + 10, waited.end());
+  EXPECT_LT(waited[10], 700) << "median wait of a 200 us timer";
 }
 
 /// Two threads and `pair.a`'s strand each send numbered 16 KB frames to
 /// `pair.b`, pausing 100 µs between frames so the peer often falls idle
 /// and `Send` writes inline.  Every 100th frame the receiving handler
-/// stalls for 20 ms (far below the 1 s SO_SNDTIMEO), which fills the
-/// socket: an inline write then meets EAGAIN (Unix sockets) or a
-/// partial write whose tail the sender task finishes (TCP), and later
-/// frames queue while 1 ms pings and pongs jump the queue.  Every frame
-/// must arrive once, whole, in order per source.
+/// stalls for 20 ms, which fills the socket: an inline write then meets
+/// EAGAIN (Unix sockets) or a partial write whose rest the event loop
+/// finishes (TCP), and later frames queue while 1 ms pings and pongs
+/// jump the queue.  Every frame must arrive once, whole, in order per
+/// source.
 void ExerciseOrderedSends(const ClusterConfig& cfg) {
   constexpr uint32_t kSources = 3;
   constexpr uint32_t kFramesPerSource = 300;

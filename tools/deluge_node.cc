@@ -105,9 +105,7 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGPIPE, SIG_IGN);
 
-  // Event loop + one sender per remote process occupy workers for the
-  // transport's lifetime; a little slack on top for After callbacks.
-  ThreadPool pool(config.processes.size() + 2);
+  ThreadPool pool(1);  // the transport's event loop
   net::SocketTransportOptions opts;
   opts.config = config;
   opts.local_process = process_id;
